@@ -37,7 +37,6 @@ from .cipher import (
     rank_descending,
     validate_key_record,
     xor_apply,
-    xor_values,
 )
 from .errors import (
     ChaocryptError,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chaos import TWO_PI, MapParams, MapState, _step_xy, generate_sequence
-from .cipher import KeyRecord, build_keystream, decrypt, validate_key_record, xor_apply
+from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, _step_xy, generate_sequence
+from .cipher import KeyRecord, decrypt
 from .errors import InvalidInput, NumericalError
 from .ga import FitnessEvaluator, GaConfig, evolve
 
@@ -28,8 +28,8 @@ KEY_COMPONENTS = ("a", "b", "x0", "y0")
 
 # (low, high, precision) per key component: a, b at 1e-15, x0, y0 at 1e-16.
 DEFAULT_KEYSPACE_RANGES = (
-    (1.0, 4.0, 1e-15),
-    (0.1, 4.0, 1e-15),
+    (A_MIN, A_MAX, 1e-15),
+    (B_MIN, B_MAX, 1e-15),
     (0.0, 1.0, 1e-16),
     (0.0, 1.0, 1e-16),
 )
@@ -278,9 +278,7 @@ def sensitivity_probe(plaintext, key: KeyRecord, component: str, epsilon: float)
     data = bytes(plaintext)
     if len(data) == 0:
         raise InvalidInput("plaintext must be non-empty")
-    validate_key_record(key)
-    ks = build_keystream(MapParams(key.a, key.b), MapState(key.x0, key.y0), len(data))
-    ciphertext = xor_apply(data, ks.key)
+    ciphertext = decrypt(data, key)  # the XOR keystream is its own inverse
     perturbed = replace(key, **{component: getattr(key, component) + epsilon})
     recovered = decrypt(ciphertext, perturbed)
     original = np.frombuffer(data, dtype=np.uint8)

@@ -32,7 +32,6 @@ class RankKeystream:
     s_x: np.ndarray
     s_y: np.ndarray
     key: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True)
@@ -104,26 +103,14 @@ def xor_apply(data, key) -> bytes:
     return (d ^ (k & 0xFF).astype(np.uint8)).tobytes()
 
 
-def xor_values(data, key) -> np.ndarray:
-    """XOR against the full key values, no byte reduction.
-
-    The set of these values is what the fitness score compares against the
-    plaintext alphabet; the high bits are what push the two sets apart.
-    """
-    buf = bytes(data)
-    k = np.asarray(key, dtype=np.int64)
-    if k.ndim != 1 or k.size != len(buf):
-        raise InvalidInput("data and key lengths differ")
-    d = np.frombuffer(buf, dtype=np.uint8).astype(np.int64)
-    return d ^ k
-
-
 def build_keystream(params: MapParams, initial: MapState, n: int) -> RankKeystream:
     """Generate the orbit and assemble the rank keystream for n bytes."""
     xs, ys = generate_sequence(params, initial, n)
     s_x = rank_descending(xs)
     s_y = rank_descending(ys)
-    return RankKeystream(s_x=s_x, s_y=s_y, key=compose_key(s_x, s_y), n=n)
+    # Ranks are permutations by construction; compose_key's checks are for
+    # arrays from outside the package.
+    return RankKeystream(s_x=s_x, s_y=s_y, key=s_y[s_x])
 
 
 def encrypt(plaintext, params: MapParams) -> tuple[bytes, KeyRecord]:

@@ -62,14 +62,15 @@ def _ga_config(args) -> ga.GaConfig:
 
 
 def _add_ga_flags(parser) -> None:
-    parser.add_argument("--population", type=int, default=20)
-    parser.add_argument("--elite-fraction", type=float, default=0.2)
-    parser.add_argument("--mutation-prob", type=float, default=0.1)
-    parser.add_argument("--mutation-step", type=float, default=0.05)
-    parser.add_argument("--threshold", type=float, default=95.0)
-    parser.add_argument("--quorum", type=float, default=0.5)
-    parser.add_argument("--max-generations", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = ga.GaConfig()
+    parser.add_argument("--population", type=int, default=defaults.population_size)
+    parser.add_argument("--elite-fraction", type=float, default=defaults.elite_fraction)
+    parser.add_argument("--mutation-prob", type=float, default=defaults.mutation_probability)
+    parser.add_argument("--mutation-step", type=float, default=defaults.mutation_step)
+    parser.add_argument("--threshold", type=float, default=defaults.fitness_threshold)
+    parser.add_argument("--quorum", type=float, default=defaults.quorum_fraction)
+    parser.add_argument("--max-generations", type=int, default=defaults.max_generations)
+    parser.add_argument("--seed", type=int, default=defaults.rng_seed)
 
 
 def cmd_encrypt(args) -> int:
@@ -194,7 +195,10 @@ def cmd_analyze_landscape(args) -> int:
 
 
 def cmd_analyze_lengths(args) -> int:
-    lengths = [int(p) for p in args.lengths.split(",") if p]
+    try:
+        lengths = [int(p) for p in args.lengths.split(",") if p]
+    except ValueError:
+        raise InvalidInput(f"malformed length list {args.lengths!r}") from None
     if not lengths:
         raise InvalidInput("no lengths given")
     config = _ga_config(args)

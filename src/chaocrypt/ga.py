@@ -79,7 +79,8 @@ def jaccard_index(set_a, set_b) -> float:
     b = set(set_b)
     if not a and not b:
         raise InvalidInput("both sets are empty")
-    return 100.0 * len(a & b) / len(a | b)
+    inter = len(a & b)
+    return 100.0 * inter / (len(a) + len(b) - inter)
 
 
 def fitness(plaintext, ciphertext) -> float:
@@ -100,7 +101,8 @@ class FitnessEvaluator:
     """Scores (a, b) pairs against one fixed plaintext.
 
     The plaintext alphabet and initial state are computed once; each call
-    rebuilds the keystream for the candidate and compares value sets.
+    rebuilds the keystream for the candidate and scores it as `fitness` does,
+    against the full-width keystream XOR values.
     """
 
     def __init__(self, plaintext):
@@ -110,16 +112,9 @@ class FitnessEvaluator:
         self._byte_set = set(self._bytes.tolist())
         self.n = len(data)
 
-    @property
-    def initial_state(self):
-        return self._initial
-
     def score(self, params: MapParams) -> float:
         ks = build_keystream(params, self._initial, self.n)
-        value_set = set((self._bytes ^ ks.key).tolist())
-        inter = len(self._byte_set & value_set)
-        union = len(self._byte_set) + len(value_set) - inter
-        return 100.0 - 100.0 * inter / union
+        return 100.0 - jaccard_index(self._byte_set, (self._bytes ^ ks.key).tolist())
 
 
 def spawn_population(config: GaConfig, rng: random.Random) -> list[Genome]:

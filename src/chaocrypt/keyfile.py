@@ -46,7 +46,10 @@ def write_key_file(key: KeyRecord, path) -> None:
 
 
 def read_key_file(path) -> KeyRecord:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: key file is not UTF-8 text") from None
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -55,7 +58,10 @@ def read_key_file(path) -> KeyRecord:
         name, sep, value = line.partition("=")
         if not sep:
             raise FormatError(f"line {lineno}: expected 'name = value'")
-        fields[name.strip()] = value.strip()
+        name = name.strip()
+        if name in fields:
+            raise FormatError(f"line {lineno}: duplicate field {name}")
+        fields[name] = value.strip()
 
     version = fields.get("version")
     if version != str(FORMAT_VERSION):

@@ -15,7 +15,6 @@ from chaocrypt import (
     rank_descending,
     sample_text,
     xor_apply,
-    xor_values,
 )
 from chaocrypt.ga import jaccard_index
 
@@ -93,11 +92,6 @@ def test_xor_apply_is_involution():
         data = bytes(rng.randrange(256) for _ in range(n))
         key = [rng.randrange(n) for _ in range(n)]
         assert xor_apply(xor_apply(data, key), key) == data
-
-
-def test_xor_values_keeps_high_bits():
-    vals = xor_values(b"\x41", [256])
-    assert vals.tolist() == [0x41 ^ 256]
 
 
 def test_round_trip_hello_world():

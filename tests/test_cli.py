@@ -195,6 +195,13 @@ def test_analyze_lengths_mirrors_single_trial_layout(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_analyze_lengths_malformed_list_exits_2(tmp_path, capsys):
+    out = tmp_path / "len.csv"
+    assert main(["analyze", "lengths", "--lengths", "10,abc", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_sensitivity_with_inline_params(tmp_path, capsys):
     plain = tmp_path / "p"
     plain.write_bytes(b"a message of reasonable length for probing keys")

@@ -10,8 +10,10 @@ from chaocrypt import (
     InvalidInput,
     MapParams,
     crossover,
+    derive_initial_state,
     evolve,
     fitness,
+    generate_sequence,
     jaccard_index,
     mutate,
     select_top,
@@ -57,6 +59,39 @@ def test_fitness_rejects_length_mismatch():
 def test_fitness_accepts_values_beyond_bytes():
     # The optimizer scores raw keystream XOR values, which pass 255.
     assert fitness(b"\x41", [0x41 ^ 512]) == 100.0
+
+
+def _descending_ranks(values):
+    ranks = [0] * len(values)
+    for r, i in enumerate(sorted(range(len(values)), key=lambda i: (-values[i], i))):
+        ranks[i] = r
+    return ranks
+
+
+def _brute_force_score(plaintext, params):
+    n = len(plaintext)
+    xs, ys = generate_sequence(params, derive_initial_state(plaintext), n)
+    s_x, s_y = _descending_ranks(xs), _descending_ranks(ys)
+    values = [p ^ s_y[s_x[i]] for i, p in enumerate(plaintext)]
+    width = max(max(plaintext), max(values)) + 1
+    in_p = [False] * width
+    in_c = [False] * width
+    for v in plaintext:
+        in_p[v] = True
+    for v in values:
+        in_c[v] = True
+    inter = sum(1 for i in range(width) if in_p[i] and in_c[i])
+    union = sum(1 for i in range(width) if in_p[i] or in_c[i])
+    return 100.0 - 100.0 * inter / union
+
+
+def test_score_matches_brute_force_over_full_width_values():
+    rng = random.Random(4)
+    for _ in range(100):
+        n = rng.randrange(1, 600)
+        plaintext = bytes(rng.randrange(1, 256) for _ in range(n))
+        params = MapParams(rng.uniform(1.0, 4.0), rng.uniform(0.1, 4.0))
+        assert FitnessEvaluator(plaintext).score(params) == _brute_force_score(plaintext, params)
 
 
 def test_spawn_population_ranges_and_size():

@@ -72,9 +72,18 @@ def test_rejects_missing_field(tmp_path):
 
 def test_rejects_malformed_lines(tmp_path):
     path = tmp_path / "key.txt"
-    path.write_text("version = 1\nnot a field line\n")
-    with pytest.raises(FormatError):
-        read_key_file(path)
+    write_key_file(KeyRecord(2.0, 1.0, 0.5, 0.5), path)
+    valid = path.read_bytes()
+    cases = (
+        (b"version = 1\nnot a field line\n", "name = value"),
+        (b"\xff\xfe", "UTF-8"),
+        # a repeated field must not silently replace the first one
+        (valid + f"a.hex = {float_to_hex(3.0)}\na.dec = 3\n".encode(), "duplicate field a.hex"),
+    )
+    for content, message in cases:
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=message):
+            read_key_file(path)
 
 
 def test_rejects_bad_hex_digits(tmp_path):
