@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 internal numerical error.
 Ciphertext files are raw bytes, exactly as long as the plaintext; all secret
-material travels in the key file.
+material travels in the key file.  `encrypt` writes the key before the
+ciphertext, each through a temp file renamed into place, so a failed run
+never leaves a ciphertext without its key.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +51,26 @@ def _read_bytes(path) -> bytes:
     return Path(path).read_bytes()
 
 
+def _check_output_path(path) -> None:
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise InvalidInput(f"{path}: directory {str(path.parent)!r} does not exist")
+    if path.is_dir():
+        raise InvalidInput(f"{path}: is a directory")
+
+
+def _write_atomic(path, write) -> None:
+    """Call write(tmp) on a temp path in path's directory, then rename it
+    over path, so path is never seen half written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _ga_config(args) -> ga.GaConfig:
     return ga.GaConfig(
         population_size=args.population,
@@ -74,6 +97,11 @@ def _add_ga_flags(parser) -> None:
 
 
 def cmd_encrypt(args) -> int:
+    for path in (args.out, args.key_out, args.report):
+        if path is not None:
+            _check_output_path(path)
+    if Path(args.out).resolve() == Path(args.key_out).resolve():
+        raise InvalidInput(f"--out and --key-out are the same file: {args.out}")
     plaintext = _read_bytes(args.plaintext)
     if len(plaintext) == 0:
         raise InvalidInput(f"plaintext file is empty: {args.plaintext}")
@@ -103,8 +131,8 @@ def cmd_encrypt(args) -> int:
             ]
             _write_csv(args.report, ("generation", "genome", "a", "b", "fitness"), rows)
 
-    Path(args.out).write_bytes(ciphertext)
-    write_key_file(record, args.key_out)
+    _write_atomic(args.key_out, lambda tmp: write_key_file(record, tmp))
+    _write_atomic(args.out, lambda tmp: tmp.write_bytes(ciphertext))
     return 0
 
 
@@ -113,6 +141,14 @@ def cmd_decrypt(args) -> int:
     ciphertext = _read_bytes(args.ciphertext)
     if len(ciphertext) == 0:
         raise InvalidInput(f"ciphertext file is empty: {args.ciphertext}")
+    # x0 is 1/len(plaintext) to within an ulp, so the key names the length
+    # of the message it was made for.
+    n = 1.0 / key.x0
+    if not math.isfinite(n) or len(ciphertext) != round(n):
+        raise InvalidInput(
+            f"{args.ciphertext}: ciphertext is {len(ciphertext)} bytes but the key "
+            f"is for a {n:.0f}-byte message"
+        )
     Path(args.out).write_bytes(cipher_decrypt(ciphertext, key))
     return 0
 

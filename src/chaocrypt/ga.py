@@ -4,14 +4,15 @@ set furthest from the plaintext alphabet.
 One seeded generator drives every stochastic decision (spawn, pairing,
 mutation) in a fixed order, generation by generation and genome by genome.
 Fitness evaluation itself is deterministic, so runs are bit-reproducible for
-a fixed seed no matter how evaluations are scheduled.
+a fixed seed no matter how evaluations are scheduled, or how many of them a
+run reuses instead of recomputing.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,8 +170,12 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
     least fitness_threshold, or at max_generations.  The returned best genome
     is the fittest ever evaluated, snapshotted before mutation so it really
     achieves its recorded score.
+
+    Each distinct (a, b) is scored once per run: a child that crossover or
+    mutation gives the params of a genome already scored takes that score.
     """
     evaluator = FitnessEvaluator(plaintext)
+    scored: dict[MapParams, float] = {}
     rng = random.Random(config.rng_seed)
     population = spawn_population(config, rng)
     history: list[GenerationRecord] = []
@@ -179,10 +184,12 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
     generation = 0
 
     for generation in range(1, config.max_generations + 1):
-        population = [
-            g if g.fitness is not None else replace(g, fitness=evaluator.score(g.params))
-            for g in population
-        ]
+        for i, g in enumerate(population):
+            if g.fitness is None:
+                score = scored.get(g.params)
+                if score is None:
+                    score = scored[g.params] = evaluator.score(g.params)
+                population[i] = Genome(g.params, score)
         scores = [g.fitness for g in population]
         history.append(
             GenerationRecord(

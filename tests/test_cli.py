@@ -155,6 +155,89 @@ def test_decrypt_with_tampered_key_file_scrambles_output(tmp_path, capsys):
     assert differ >= 0.9 * len(source)
 
 
+def _skip_ga_encrypt(tmp_path, data, tag="m"):
+    plain = tmp_path / f"{tag}.txt"
+    plain.write_bytes(data)
+    cipher, keyfile = tmp_path / f"{tag}.enc", tmp_path / f"{tag}.key"
+    argv = ["encrypt", str(plain), "--out", str(cipher), "--key-out", str(keyfile)]
+    assert main(argv + ["--skip-ga", "--a", "2.5", "--b", "1.5"]) == 0
+    return cipher, keyfile
+
+
+def test_decrypt_rejects_ciphertext_longer_than_its_key(tmp_path, capsys):
+    import random
+
+    _, short_key = _skip_ga_encrypt(tmp_path, random.Random(1).randbytes(116), "short")
+    long_cipher, _ = _skip_ga_encrypt(tmp_path, random.Random(2).randbytes(1000), "long")
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["decrypt", str(long_cipher), "--key", str(short_key), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "1000 bytes" in err and "116-byte" in err
+    assert not out.exists()
+
+
+def test_decrypt_rejects_truncated_ciphertext(tmp_path, capsys):
+    cipher, keyfile = _skip_ga_encrypt(tmp_path, b"one byte too few, and we should know it")
+    cipher.write_bytes(cipher.read_bytes()[:-1])
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["decrypt", str(cipher), "--key", str(keyfile), "--out", str(out)]) == 2
+    assert "38 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _ga_encrypt_argv(tmp_path, out, key_out):
+    plain = tmp_path / "p"
+    plain.write_bytes(b"a message whose key search must not start")
+    return ["encrypt", str(plain), "--out", str(out), "--key-out", str(key_out)]
+
+
+def _evolve_must_not_run(monkeypatch):
+    from chaocrypt import ga
+
+    def boom(*args):
+        raise AssertionError("evolve ran before the output paths were checked")
+
+    monkeypatch.setattr(ga, "evolve", boom)
+
+
+def test_encrypt_out_in_missing_directory_exits_2_before_ga(tmp_path, capsys, monkeypatch):
+    _evolve_must_not_run(monkeypatch)
+    missing = tmp_path / "nope" / "c.enc"
+    key = tmp_path / "k"
+    assert main(_ga_encrypt_argv(tmp_path, missing, key)) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not key.exists()
+
+
+def test_encrypt_key_out_in_missing_directory_leaves_no_ciphertext(tmp_path, capsys, monkeypatch):
+    _evolve_must_not_run(monkeypatch)
+    cipher = tmp_path / "c.enc"
+    missing = tmp_path / "nope" / "k"
+    assert main(_ga_encrypt_argv(tmp_path, cipher, missing)) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not cipher.exists()
+
+
+def test_encrypt_rejects_out_equal_to_key_out(tmp_path, capsys, monkeypatch):
+    _evolve_must_not_run(monkeypatch)
+    same = tmp_path / "both"
+    assert main(_ga_encrypt_argv(tmp_path, same, same)) == 2
+    assert not same.exists()
+
+
+def test_encrypt_writes_key_before_ciphertext_and_leaves_no_temp_files(tmp_path, capsys, monkeypatch):
+    import os
+
+    written = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (written.append(dst), real_replace(src, dst)))
+    cipher, keyfile = _skip_ga_encrypt(tmp_path, b"key first, then the ciphertext")
+    assert [str(p) for p in written] == [str(keyfile), str(cipher)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.enc", "m.key", "m.txt"]
+
+
 def test_analyze_bifurcation_row_count(tmp_path, capsys):
     out = tmp_path / "bif.csv"
     rc = main(

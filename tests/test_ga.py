@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -244,6 +246,46 @@ def test_evolve_respects_generation_cap():
     report = evolve(b"no quorum can ever fire here", config)
     assert report.terminated_by == "generation-cap"
     assert report.generations_run == 6
+
+
+# A capped run: no genome reaches 100.1, so all 60 generations run and the
+# elite keeps breeding copies of itself.
+PINNED_TEXT = b"pin this report"
+PINNED_CONFIG = GaConfig(rng_seed=21, fitness_threshold=100.1, max_generations=60)
+
+
+def test_evolve_scores_each_distinct_params_once(monkeypatch):
+    calls = Counter()
+    real = FitnessEvaluator.score
+
+    def counting(self, params):
+        calls[params] += 1
+        return real(self, params)
+
+    monkeypatch.setattr(FitnessEvaluator, "score", counting)
+    report = evolve(PINNED_TEXT, PINNED_CONFIG)
+    monkeypatch.undo()
+
+    assert report.generations_run == 60
+    assert set(calls.values()) == {1}
+    seen = {entry for rec in report.history for entry in rec.population}
+    assert {(a, b) for a, b, _ in seen} == {(p.a, p.b) for p in calls}
+    fresh = FitnessEvaluator(PINNED_TEXT)
+    for a, b, f in seen:
+        assert f == fresh.score(MapParams(a, b))
+
+
+def test_evolve_report_is_pinned():
+    report = evolve(PINNED_TEXT, PINNED_CONFIG)
+    digest = hashlib.sha256()
+    for rec in report.history:
+        for a, b, f in rec.population:
+            digest.update(f"{a.hex()} {b.hex()} {f.hex()}\n".encode())
+    assert digest.hexdigest() == "82cdf454bc40e09f7b7ae1cb29808d977db86556d7a471b39cdbb05eaeb70015"
+    assert report.terminated_by == "generation-cap"
+    assert report.best_genome == Genome(
+        MapParams(1.6980848541986608, 0.2651081249396358), fitness=95.65217391304348
+    )
 
 
 def test_config_validation():
