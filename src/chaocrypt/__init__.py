@@ -24,7 +24,6 @@ from .chaos import (
     MapState,
     derive_initial_state,
     generate_sequence,
-    step,
     validate_key_params,
 )
 from .cipher import (

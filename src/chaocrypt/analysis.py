@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, _step_xy, generate_sequence
+from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, generate_sequence
 from .cipher import KeyRecord, decrypt
 from .errors import InvalidInput, NumericalError
 from .ga import FitnessEvaluator, GaConfig, evolve
@@ -125,11 +125,13 @@ def lyapunov_spectrum(
     with Gram-Schmidt re-orthonormalization every step; the exponents are the
     per-step averages of log stretch factors over the post-transient window.
     The frame is carried through the transient too, so it is already aligned
-    when measurement starts.
+    when measurement starts.  The orbit comes from generate_sequence, which
+    raises NumericalError if it leaves the finite doubles.
     """
     if transient < 0 or iterations <= transient:
         raise InvalidInput("need iterations > transient >= 0")
-    a, b = params.a, params.b
+    a = params.a
+    xs, ys = generate_sequence(params, initial, iterations)
     x, y = initial.x, initial.y
     v1x, v1y = 1.0, 0.0
     v2x, v2y = 0.0, 1.0
@@ -155,9 +157,7 @@ def lyapunov_spectrum(
         if i >= transient:
             s1 += math.log(r1)
             s2 += math.log(r2)
-        x, y = _step_xy(a, b, x, y)
-        if not math.isfinite(y):
-            raise NumericalError("orbit diverged to non-finite values")
+        x, y = xs[i], ys[i]
     measured = iterations - transient
     l1, l2 = s1 / measured, s2 / measured
     if l2 > l1:

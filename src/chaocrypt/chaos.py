@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalError
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,20 +61,6 @@ def validate_key_params(params: MapParams) -> None:
         raise InvalidInput(f"parameter b={params.b!r} outside [{B_MIN}, {B_MAX}]")
 
 
-def _step_xy(a: float, b: float, x: float, y: float) -> tuple[float, float]:
-    xn = (x + b + a * math.sin(TWO_PI * y)) % 1.0
-    if xn >= 1.0:  # float % 1.0 can round up to exactly 1.0 for tiny negatives
-        xn = 0.0
-    yn = 1.0 - a * x * x + y
-    return xn, yn
-
-
-def step(params: MapParams, state: MapState) -> MapState:
-    """Advance the orbit by one iteration."""
-    x, y = _step_xy(params.a, params.b, state.x, state.y)
-    return MapState(x, y)
-
-
 def derive_initial_state(plaintext: bytes | bytearray) -> MapState:
     """Initial orbit point from the plaintext byte values.
 
@@ -98,6 +84,11 @@ def generate_sequence(
 ) -> tuple[list[float], list[float]]:
     """Iterate the map from `initial`, discard `transient` points, then
     collect the next n.  Returns the x and y sequences, each of length n.
+
+    This is the only loop that steps the map.  A non-finite state is
+    absorbing (a NaN stays NaN; an infinite y makes the next sin raise), so
+    one check of the final state catches any orbit that left the finite
+    doubles, and raises NumericalError.
     """
     if n < 1:
         raise InvalidInput("sequence length must be >= 1")
@@ -105,12 +96,18 @@ def generate_sequence(
         raise InvalidInput("transient must be >= 0")
     a, b = params.a, params.b
     x, y = initial.x, initial.y
-    for _ in range(transient):
-        x, y = _step_xy(a, b, x, y)
     xs = [0.0] * n
     ys = [0.0] * n
-    for i in range(n):
-        x, y = _step_xy(a, b, x, y)
-        xs[i] = x
-        ys[i] = y
+    try:
+        for i in range(-transient, n):
+            x, y = (x + b + a * math.sin(TWO_PI * y)) % 1.0, 1.0 - a * x * x + y
+            if x >= 1.0:  # float % 1.0 can round up to exactly 1.0 for tiny negatives
+                x = 0.0
+            if i >= 0:
+                xs[i] = x
+                ys[i] = y
+    except ValueError:  # sin of an infinite y
+        raise NumericalError("orbit left the finite doubles") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NumericalError("orbit left the finite doubles")
     return xs, ys

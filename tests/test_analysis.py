@@ -10,6 +10,7 @@ from chaocrypt import (
     KeyRecord,
     MapParams,
     MapState,
+    NumericalError,
     SweepSpec,
     bifurcation_sweep,
     fitness_landscape,
@@ -73,6 +74,24 @@ def test_lyapunov_positive_in_key_range():
     # frozen regression value for the default windows
     assert result.exponent_1 == pytest.approx(1.290783075757862, rel=1e-9)
     assert result.exponent_2 == pytest.approx(0.8400895659340064, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "params, iterations, transient, hex_1, hex_2",
+    [
+        (MapParams(2.0, 2.0), 2500, 500, "0x1.4a70c2789c3d2p+0", "0x1.ae203836cb772p-1"),
+        (MapParams(3.7, 2.9), 1, 0, "0x1.3dfa5f3472933p+1", "0x1.bf2faf87328c5p-3"),
+    ],
+)
+def test_lyapunov_bits_are_pinned(params, iterations, transient, hex_1, hex_2):
+    # Recorded while the Lyapunov loop still stepped the map itself.
+    result = lyapunov_spectrum(params, MapState(0.1, 0.1), iterations, transient)
+    assert (result.exponent_1.hex(), result.exponent_2.hex()) == (hex_1, hex_2)
+
+
+def test_lyapunov_rejects_orbit_leaving_the_finite_doubles():
+    with pytest.raises(NumericalError):
+        lyapunov_spectrum(MapParams(1.0, 1.0), MapState(0.1, 1e308), 50, 10)
 
 
 def test_lyapunov_exponents_sorted_descending():

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 
 import mpmath as mp
 import pytest
@@ -8,9 +10,9 @@ from chaocrypt import (
     InvalidInput,
     MapParams,
     MapState,
+    NumericalError,
     derive_initial_state,
     generate_sequence,
-    step,
 )
 
 
@@ -58,22 +60,22 @@ def test_derive_initial_state_rejects_all_zero_bytes():
 
 def test_step_quarter_orbit_example():
     # sin(2*pi*0.75) = -1, so x' = (0.25 + 1 - 2) mod 1 = 0.25, y' = 1.625
-    out = step(MapParams(2.0, 1.0), MapState(0.25, 0.75))
-    assert out.x == pytest.approx(0.25, abs=1e-12)
-    assert out.y == pytest.approx(1.625, abs=1e-12)
+    (x,), (y,) = generate_sequence(MapParams(2.0, 1.0), MapState(0.25, 0.75), 1)
+    assert x == pytest.approx(0.25, abs=1e-12)
+    assert y == pytest.approx(1.625, abs=1e-12)
 
 
 def test_step_at_origin():
-    out = step(MapParams(3.3, 0.5), MapState(0.0, 0.0))
-    assert out.x == 0.5
-    assert out.y == 1.0
+    (x,), (y,) = generate_sequence(MapParams(3.3, 0.5), MapState(0.0, 0.0), 1)
+    assert x == 0.5
+    assert y == 1.0
 
 
 def test_step_wraps_negative_argument_into_unit_interval():
     # x + b + a*sin(2*pi*y) = 0.1 + 0 - 3 = -2.9; floor-mod gives 0.1 back
-    out = step(MapParams(3.0, 0.0), MapState(0.1, 0.75))
-    assert 0.0 <= out.x < 1.0
-    assert out.x == pytest.approx(0.1, abs=1e-12)
+    (x,), _ = generate_sequence(MapParams(3.0, 0.0), MapState(0.1, 0.75), 1)
+    assert 0.0 <= x < 1.0
+    assert x == pytest.approx(0.1, abs=1e-12)
 
 
 def test_step_x_stays_in_unit_interval():
@@ -81,9 +83,9 @@ def test_step_x_stays_in_unit_interval():
     for _ in range(2000):
         params = MapParams(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
         state = MapState(rng.uniform(0.0, 1.0), rng.uniform(-50.0, 50.0))
-        out = step(params, state)
-        assert 0.0 <= out.x < 1.0
-        assert math.isfinite(out.y)
+        (x,), (y,) = generate_sequence(params, state, 1)
+        assert 0.0 <= x < 1.0
+        assert math.isfinite(y)
 
 
 def test_non_finite_inputs_rejected():
@@ -197,3 +199,30 @@ def test_tiny_parameter_change_decorrelates_orbit():
     xs2, _ = generate_sequence(MapParams(2.7 + 1e-15, 1.9), init, 1000)
     differ = sum(u != v for u, v in zip(xs1[100:], xs2[100:]))
     assert differ >= 0.9 * 900
+
+
+def test_pinned_long_orbit_digest():
+    # SHA-256 of the little-endian doubles x[0..4095] then y[0..4095],
+    # recorded before the map's step was inlined into generate_sequence.
+    xs, ys = generate_sequence(MapParams(3.7, 2.9), MapState(0.123, 0.456), 4096, transient=64)
+    digest = hashlib.sha256(struct.pack(f"<{2 * 4096}d", *xs, *ys)).hexdigest()
+    assert digest == "203dfdc3c13240860ebd2b81ff2a26609d02c5b1a3535917e8612018c151a737"
+
+
+@pytest.mark.parametrize(
+    "params, state",
+    [
+        # 2*pi*y overflows, so the first sin raises
+        (MapParams(2.5, 1.5), MapState(0.1, 1e308)),
+        # x + b + a*sin(..) overflows: x turns NaN, then y, and stays NaN
+        (MapParams(1.7e308, 1.7e308), MapState(0.1, 0.1)),
+        # y overflows on the last step, after the last sin
+        (MapParams(-1.7e308, 0.0), MapState(0.999, 2.8e307)),
+    ],
+)
+@pytest.mark.parametrize("transient", [0, 3])
+def test_orbit_leaving_the_finite_doubles_raises(params, state, transient):
+    with pytest.raises(NumericalError):
+        generate_sequence(params, state, 1, transient)
+    with pytest.raises(NumericalError):
+        generate_sequence(params, state, 5, transient)

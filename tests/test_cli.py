@@ -255,6 +255,44 @@ def test_analyze_bifurcation_row_count(tmp_path, capsys):
     assert len(lines) == 2 + 100 * 100
 
 
+def _assert_numerical_error(rc, err, out):
+    assert rc == 3
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_decrypt_with_key_whose_orbit_overflows_exits_3(tmp_path, capsys):
+    from chaocrypt import KeyRecord, write_key_file
+
+    keyfile, cipher, out = tmp_path / "k", tmp_path / "c", tmp_path / "o"
+    write_key_file(KeyRecord(a=2.5, b=1.5, x0=1.0, y0=1e308), keyfile)
+    cipher.write_bytes(b"x")
+    rc = main(["decrypt", str(cipher), "--key", str(keyfile), "--out", str(out)])
+    _assert_numerical_error(rc, capsys.readouterr().err, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lyapunov", "--a", "1", "--b", "1", "--y0", "1e308"],
+        ["bifurcation", "--param", "a", "--fixed", "2", "--range", "1:4", "--steps", "2",
+         "--iters", "20", "--transient", "5", "--y0", "1e308"],
+        ["bifurcation", "--param", "b", "--fixed", "2", "--range", "1:4", "--steps", "2",
+         "--iters", "20", "--transient", "5", "--x0", "1e308"],
+        ["bifurcation", "--param", "a", "--fixed", "1.7e308", "--range", "1e308:1.7e308",
+         "--steps", "2", "--iters", "5", "--transient", "1"],
+        ["sensitivity", "--plaintext", "PLAIN", "--a", "2.5", "--b", "1.5",
+         "--component", "y0", "--epsilon", "1e308"],
+    ],
+)
+def test_analyze_orbit_leaving_the_finite_doubles_exits_3(tmp_path, capsys, argv):
+    plain, out = tmp_path / "p", tmp_path / "o.csv"
+    plain.write_bytes(b"a short message")
+    argv = [str(plain) if a == "PLAIN" else a for a in argv]
+    rc = main(["analyze", *argv, "--out", str(out)])
+    _assert_numerical_error(rc, capsys.readouterr().err, out)
+
+
 def test_analyze_lyapunov_prints_positive_exponent(tmp_path, capsys):
     rc = main(["analyze", "lyapunov", "--a", "2", "--b", "2"])
     assert rc == 0

@@ -1,6 +1,12 @@
-"""Property tests for the CLI's exit-code contract on arbitrary key files:
-reading one either gives a KeyRecord or raises FormatError/InvalidInput, and
-`chaocrypt decrypt` with it exits 0, 2 or 3 without a traceback."""
+"""Property tests for the CLI's exit-code contract.
+
+Arbitrary key files: reading one either gives a KeyRecord or raises
+FormatError/InvalidInput, and `chaocrypt decrypt` with it exits 0, 2 or 3
+without a traceback.  Arbitrary argv for the analysis, keyspace and
+`encrypt --skip-ga` commands: every float option is drawn from all doubles
+(and the strings inf/nan), and the command exits 0, 2 or 3 without a
+traceback and writes no output when it fails.  Work-setting integers stay
+small, since they set how long a command runs."""
 
 import contextlib
 import io
@@ -84,3 +90,81 @@ def test_decrypt_with_any_key_file_keeps_the_exit_code_contract(data):
         assert rc in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
         assert (rc == 0) == out.exists()
+
+
+FLOAT = st.floats().map(repr) | st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308", "1.7e308"])
+PLAINTEXTS = st.sampled_from([b"x", b"attack at dawn", bytes(range(256)), b"", b"\x00\x00"])
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _span(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(lambda v: ":".join(map(repr, sorted(v))))
+
+
+def _wild_span(parts):
+    return st.lists(FLOAT, min_size=parts, max_size=parts).map(":".join)
+
+
+A, B, UNIT, Y = _num(1.0, 4.0), _num(0.1, 4.0), _num(0.0, 1.0), _num(-2.0, 2.0)
+
+# Per command, its float-valued options with a strategy for a usable value.
+FLOAT_OPTIONS = {
+    "lyapunov": {"a": A, "b": B, "x0": UNIT, "y0": Y},
+    "bifurcation": {"fixed": B, "range": _span(0.1, 4.0), "x0": UNIT, "y0": Y},
+    "sensitivity": {"a": A, "b": B, "epsilon": _num(0.0, 1e-3)},
+    "landscape": {"a-range": _span(1.0, 4.0), "b-range": _span(0.1, 4.0)},
+    "keyspace": {"range": st.builds("{}:{}:{}".format, _num(0.0, 1.0), _num(1.0, 4.0), _num(1e-16, 1.0))},
+    "encrypt": {"a": A, "b": B},
+}
+
+
+def _opt(name, value):
+    # --name=value, so a value such as -1e+308 is not taken for an option
+    return f"--{name}={value}"
+
+
+@st.composite
+def _argv(draw):
+    """A usable command line with up to two of its float options replaced by
+    any double or inf/nan; returns it with the placeholders (PLAIN, OUT,
+    KEY) of the files it names and the placeholders it writes to."""
+    command = draw(st.sampled_from(sorted(FLOAT_OPTIONS)))
+    values = {name: draw(strategy) for name, strategy in FLOAT_OPTIONS[command].items()}
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(values)))
+        values[name] = draw(_wild_span(values[name].count(":") + 1) if "range" in name else FLOAT)
+    options = [_opt(name, value) for name, value in values.items()]
+    iters = [_opt("iters", draw(st.integers(1, 50))), _opt("transient", draw(st.integers(0, 10)))]
+    if command == "keyspace":
+        return ["keyspace", *options[: draw(st.integers(0, 1))]], []
+    if command == "encrypt":
+        return ["encrypt", "PLAIN", "--out", "OUT", "--key-out", "KEY", "--skip-ga", *options], ["OUT", "KEY"]
+    argv = ["analyze", command, "--out", "OUT", *options]
+    if command == "lyapunov":
+        argv += iters
+    elif command == "bifurcation":
+        argv += [_opt("param", draw(st.sampled_from("ab"))), _opt("steps", draw(st.integers(1, 4))), *iters]
+    elif command == "sensitivity":
+        argv += ["--plaintext", "PLAIN", _opt("component", draw(st.sampled_from(["a", "b", "x0", "y0"])))]
+    else:
+        argv += ["--plaintext", "PLAIN", _opt("grid-a", draw(st.integers(0, 4))), _opt("grid-b", draw(st.integers(0, 4)))]
+    return argv, ["OUT"]
+
+
+@FUZZ
+@given(_argv(), PLAINTEXTS)
+def test_cli_with_any_numeric_arguments_keeps_the_exit_code_contract(argv_outputs, plaintext):
+    argv, outputs = argv_outputs
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: Path(d) / name.lower() for name in ("PLAIN", "OUT", "KEY")}
+        paths["PLAIN"].write_bytes(plaintext)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([str(paths[a]) if a in paths else a for a in argv])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc != 0:
+            assert not any(paths[name].exists() for name in outputs)
