@@ -66,13 +66,20 @@ class LengthTrialResult:
     terminated_by: str
 
 
+def _check_range(low: float, high: float) -> None:
+    """Reject a range unless low < high and high - low is a finite double."""
+    if not (low < high):
+        raise InvalidInput(f"range {low!r}:{high!r} needs low < high")
+    if not math.isfinite(high - low):
+        raise InvalidInput(f"range {low!r}:{high!r} is too wide: high - low overflows a double")
+
+
 def _validate_sweep(spec: SweepSpec) -> None:
     if spec.swept_parameter not in ("a", "b"):
         raise InvalidInput("swept_parameter must be 'a' or 'b'")
     if not math.isfinite(spec.fixed_value):
         raise InvalidInput("fixed_value must be finite")
-    if not (spec.range_low < spec.range_high):
-        raise InvalidInput("range_low must be < range_high")
+    _check_range(spec.range_low, spec.range_high)
     if spec.steps < 2:
         raise InvalidInput("steps must be >= 2")
     if spec.transient < 0 or spec.iterations <= spec.transient:
@@ -172,8 +179,8 @@ def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> 
     """
     a_low, a_high = a_range
     b_low, b_high = b_range
-    if not (a_low < a_high) or not (b_low < b_high):
-        raise InvalidInput("ranges must satisfy low < high")
+    _check_range(a_low, a_high)
+    _check_range(b_low, b_high)
     if grid_a < 1 or grid_b < 1:
         raise InvalidInput("grid sizes must be >= 1")
     evaluator = FitnessEvaluator(plaintext)

@@ -96,11 +96,12 @@ def generate_sequence(
         raise InvalidInput("transient must be >= 0")
     a, b = params.a, params.b
     x, y = initial.x, initial.y
+    sin, two_pi = math.sin, TWO_PI  # locals spare a global and an attribute lookup per step
     xs = [0.0] * n
     ys = [0.0] * n
     try:
         for i in range(-transient, n):
-            x, y = (x + b + a * math.sin(TWO_PI * y)) % 1.0, 1.0 - a * x * x + y
+            x, y = (x + b + a * sin(two_pi * y)) % 1.0, 1.0 - a * x * x + y
             if x >= 1.0:  # float % 1.0 can round up to exactly 1.0 for tiny negatives
                 x = 0.0
             if i >= 0:

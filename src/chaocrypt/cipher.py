@@ -6,6 +6,9 @@ into the key array K[i] = S_y[S_x[i]].  K is a permutation of 0..n-1, so its
 values exceed 255 for messages longer than 256 bytes; ciphertext bytes take
 the low 8 bits of the XOR while the optimizer scores the full-width values
 (see ga.fitness).
+
+Ranks tie-break by index and do not depend on the numpy build, although the
+fast path uses numpy's unstable sort (see rank_descending).
 """
 
 from __future__ import annotations
@@ -62,13 +65,23 @@ def rank_descending(values) -> np.ndarray:
 
     Ties break stably: among equal values the lower original index gets the
     lower rank.  The result is a permutation of 0..n-1.
+
+    A tie-free array has exactly one descending order, so it is sorted with
+    numpy's fastest (unstable) argsort; only an array with an equal adjacent
+    pair after sorting (-0.0 == 0.0 counts) is sorted again stably.  Either
+    way the ranks are the same on every numpy build.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInput("values must be a non-empty 1-D sequence")
-    if not np.isfinite(arr).all():
+    neg = -arr
+    order = np.argsort(neg)
+    ordered = neg[order]
+    # NaNs sort last and infinities to the ends, so the ends show any of them.
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
         raise InvalidInput("values must be finite")
-    order = np.argsort(-arr, kind="stable")
+    if np.count_nonzero(ordered[1:] == ordered[:-1]):  # cheaper than .any() at small n
+        order = np.argsort(neg, kind="stable")
     ranks = np.empty(arr.size, dtype=np.int64)
     ranks[order] = np.arange(arr.size, dtype=np.int64)
     return ranks

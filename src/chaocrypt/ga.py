@@ -103,19 +103,28 @@ class FitnessEvaluator:
 
     The plaintext alphabet and initial state are computed once; each call
     rebuilds the keystream for the candidate and scores it as `fitness` does,
-    against the full-width keystream XOR values.
+    against the full-width keystream XOR values.  The value sets are boolean
+    tables indexed by value: every byte ^ rank lies below
+    2**max(8, bit_length(n - 1)), the table width.  The intersection and
+    union are the integers jaccard_index counts, in its float expression.
     """
 
     def __init__(self, plaintext):
         data = bytes(plaintext)
         self._initial = derive_initial_state(data)
         self._bytes = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-        self._byte_set = set(self._bytes.tolist())
         self.n = len(data)
+        self._alphabet = np.zeros(1 << max(8, (self.n - 1).bit_length()), dtype=bool)
+        self._alphabet[self._bytes] = True
+        self._alphabet_size = int(np.count_nonzero(self._alphabet))
 
     def score(self, params: MapParams) -> float:
         ks = build_keystream(params, self._initial, self.n)
-        return 100.0 - jaccard_index(self._byte_set, (self._bytes ^ ks.key).tolist())
+        seen = np.zeros(self._alphabet.size, dtype=bool)
+        seen[self._bytes ^ ks.key] = True
+        inter = int(np.count_nonzero(seen & self._alphabet))
+        union = self._alphabet_size + int(np.count_nonzero(seen)) - inter
+        return 100.0 - 100.0 * inter / union
 
 
 def spawn_population(config: GaConfig, rng: random.Random) -> list[Genome]:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -34,6 +35,52 @@ def test_rank_descending_singleton():
 def test_rank_descending_rejects_empty():
     with pytest.raises(InvalidInput):
         rank_descending([])
+
+
+def _oracle_ranks(values):
+    ranks = [0] * len(values)
+    for r, i in enumerate(sorted(range(len(values)), key=lambda i: (-values[i], i))):
+        ranks[i] = r
+    return ranks
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_rank_descending_rejects_non_finite_anywhere(bad, where):
+    values = [0.3, 0.1, 0.7, 0.2, 0.5]
+    values[where] = bad
+    with pytest.raises(InvalidInput):
+        rank_descending(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -0.0, 0.0],
+        [-0.0, 0.0],
+        [0.5] * 7,
+        [0.5] * 5000,
+        [0.0, -0.0] * 2500,
+        [0.9, 0.9, 0.4, 0.3, 0.1, 0.1],  # ties at both ends
+        [0.2],
+        [0.2, 0.2],
+        [0.1, 0.2],
+        [0.2, 0.1],
+    ],
+)
+def test_rank_descending_ranks_equal_values_by_index(values):
+    assert rank_descending(values).tolist() == _oracle_ranks(values)
+
+
+def test_rank_descending_matches_sorted_oracle():
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randrange(1, 3000)
+        pool = [rng.uniform(-1.0, 1.0) for _ in range(rng.choice([1, 3, n]))] + [0.0, -0.0]
+        tied = [rng.choice(pool) for _ in range(n)]
+        distinct = [rng.uniform(-1e6, 1e6) for _ in range(n)]
+        for values in (tied, distinct):
+            assert rank_descending(values).tolist() == _oracle_ranks(values)
 
 
 def test_rank_indexes_sorted_copy_back_to_original():

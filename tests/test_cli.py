@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -291,6 +292,28 @@ def test_analyze_orbit_leaving_the_finite_doubles_exits_3(tmp_path, capsys, argv
     argv = [str(plain) if a == "PLAIN" else a for a in argv]
     rc = main(["analyze", *argv, "--out", str(out)])
     _assert_numerical_error(rc, capsys.readouterr().err, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bifurcation", "--param", "a", "--fixed", "2", "--range=-1.7e308:1.7e308",
+         "--steps", "2", "--iters", "5", "--transient", "1"],
+        ["landscape", "--plaintext", "PLAIN", "--a-range=-1.7e308:1.7e308"],
+    ],
+)
+def test_analyze_range_wider_than_a_double_exits_2_without_warnings(tmp_path, capsys, argv):
+    plain, out = tmp_path / "p", tmp_path / "o.csv"
+    plain.write_bytes(b"a short message")
+    argv = [str(plain) if a == "PLAIN" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["analyze", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert caught == []
+    assert rc == 2
+    assert err.startswith("error: range -1.7e+308:1.7e+308 ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_analyze_lyapunov_prints_positive_exponent(tmp_path, capsys):

@@ -11,6 +11,7 @@ from chaocrypt import (
     Genome,
     InvalidInput,
     MapParams,
+    build_keystream,
     crossover,
     derive_initial_state,
     evolve,
@@ -94,6 +95,22 @@ def test_score_matches_brute_force_over_full_width_values():
         plaintext = bytes(rng.randrange(1, 256) for _ in range(n))
         params = MapParams(rng.uniform(1.0, 4.0), rng.uniform(0.1, 4.0))
         assert FitnessEvaluator(plaintext).score(params) == _brute_force_score(plaintext, params)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 1024, 1025])
+def test_score_matches_jaccard_at_table_width_boundaries(n):
+    # Values byte ^ rank reach the top bit below the table width, so a table
+    # one bit too narrow cannot index them.
+    rng = random.Random(n)
+    plaintext = bytes(rng.randrange(128, 256) for _ in range(n))
+    evaluator = FitnessEvaluator(plaintext)
+    for _ in range(5):
+        params = MapParams(rng.uniform(1.0, 4.0), rng.uniform(0.1, 4.0))
+        key = build_keystream(params, derive_initial_state(plaintext), n).key.tolist()
+        values = [p ^ k for p, k in zip(plaintext, key)]
+        score = evaluator.score(params)
+        assert type(score) is float
+        assert score == 100.0 - jaccard_index(plaintext, values)
 
 
 def test_spawn_population_ranges_and_size():
