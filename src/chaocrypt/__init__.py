@@ -24,7 +24,6 @@ from .chaos import (
     MapState,
     derive_initial_state,
     generate_sequence,
-    validate_key_params,
 )
 from .cipher import (
     KeyRecord,
@@ -34,7 +33,6 @@ from .cipher import (
     decrypt,
     encrypt,
     rank_descending,
-    validate_key_record,
     xor_apply,
 )
 from .errors import (

@@ -35,6 +35,14 @@ DEFAULT_KEYSPACE_RANGES = (
 )
 
 
+def _check_range(low: float, high: float) -> None:
+    """Reject a range unless low < high and high - low is a finite double."""
+    if not (low < high):
+        raise InvalidInput(f"range {low!r}:{high!r} needs low < high")
+    if not math.isfinite(high - low):
+        raise InvalidInput(f"range {low!r}:{high!r} is too wide: high - low overflows a double")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One bifurcation sweep: hold one parameter, step the other."""
@@ -47,6 +55,17 @@ class SweepSpec:
     iterations: int
     transient: int
     initial_state: MapState = DEFAULT_SWEEP_STATE
+
+    def __post_init__(self):
+        if self.swept_parameter not in ("a", "b"):
+            raise InvalidInput("swept_parameter must be 'a' or 'b'")
+        if not math.isfinite(self.fixed_value):
+            raise InvalidInput("fixed_value must be finite")
+        _check_range(self.range_low, self.range_high)
+        if self.steps < 2:
+            raise InvalidInput("steps must be >= 2")
+        if self.transient < 0 or self.iterations <= self.transient:
+            raise InvalidInput("need iterations > transient >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,33 +85,12 @@ class LengthTrialResult:
     terminated_by: str
 
 
-def _check_range(low: float, high: float) -> None:
-    """Reject a range unless low < high and high - low is a finite double."""
-    if not (low < high):
-        raise InvalidInput(f"range {low!r}:{high!r} needs low < high")
-    if not math.isfinite(high - low):
-        raise InvalidInput(f"range {low!r}:{high!r} is too wide: high - low overflows a double")
-
-
-def _validate_sweep(spec: SweepSpec) -> None:
-    if spec.swept_parameter not in ("a", "b"):
-        raise InvalidInput("swept_parameter must be 'a' or 'b'")
-    if not math.isfinite(spec.fixed_value):
-        raise InvalidInput("fixed_value must be finite")
-    _check_range(spec.range_low, spec.range_high)
-    if spec.steps < 2:
-        raise InvalidInput("steps must be >= 2")
-    if spec.transient < 0 or spec.iterations <= spec.transient:
-        raise InvalidInput("need iterations > transient >= 0")
-
-
 def bifurcation_sweep(spec: SweepSpec) -> np.ndarray:
     """Asymptotic x-values against the swept parameter.
 
     Returns a (steps * (iterations - transient)) x 2 array; column 0 is the
     parameter value, column 1 the post-transient x-value.
     """
-    _validate_sweep(spec)
     values = np.linspace(spec.range_low, spec.range_high, spec.steps)
     m = spec.iterations - spec.transient
     out = np.empty((spec.steps * m, 2), dtype=np.float64)
@@ -296,9 +294,10 @@ def keyspace_size(ranges) -> float:
     """Product of (high - low) / precision over all key components."""
     total = 1.0
     for low, high, precision in ranges:
-        if not (high > low):
-            raise InvalidInput("each range needs high > low")
-        if not (precision > 0.0):
-            raise InvalidInput("each precision must be > 0")
+        _check_range(low, high)
+        if not (0.0 < precision < math.inf):
+            raise InvalidInput("each precision must be finite and > 0")
         total *= (high - low) / precision
+    if not math.isfinite(total):
+        raise InvalidInput("key space size overflows a double")
     return total

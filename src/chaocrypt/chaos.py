@@ -24,7 +24,7 @@ from .errors import InvalidInput, NumericalError
 TWO_PI = 2.0 * math.pi
 
 # Ranges that encryption keys are drawn from.  Analysis sweeps may step
-# outside them (e.g. b down to 0); key validation may not.
+# outside them (e.g. b down to 0); a cipher.KeyRecord may not.
 A_MIN, A_MAX = 1.0, 4.0
 B_MIN, B_MAX = 0.1, 4.0
 
@@ -51,14 +51,6 @@ class MapState:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise InvalidInput("map state must be finite")
-
-
-def validate_key_params(params: MapParams) -> None:
-    """Reject parameters outside the key ranges [A_MIN, A_MAX] x [B_MIN, B_MAX]."""
-    if not (A_MIN <= params.a <= A_MAX):
-        raise InvalidInput(f"parameter a={params.a!r} outside [{A_MIN}, {A_MAX}]")
-    if not (B_MIN <= params.b <= B_MAX):
-        raise InvalidInput(f"parameter b={params.b!r} outside [{B_MIN}, {B_MAX}]")
 
 
 def derive_initial_state(plaintext: bytes | bytearray) -> MapState:

@@ -9,6 +9,9 @@ the low 8 bits of the XOR while the optimizer scores the full-width values
 
 Ranks tie-break by index and do not depend on the numpy build, although the
 fast path uses numpy's unstable sort (see rank_descending).
+
+KeyRecord, the secret key (a, b, x0, y0), checks its fields when it is
+constructed, so encrypt, decrypt and write_key_file never check it again.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import (
+    A_MAX,
+    A_MIN,
+    B_MAX,
+    B_MIN,
     MapParams,
     MapState,
     derive_initial_state,
     generate_sequence,
-    validate_key_params,
 )
 from .errors import InvalidInput
 
@@ -39,25 +45,28 @@ class RankKeystream:
 
 @dataclass(frozen=True)
 class KeyRecord:
-    """Complete decryption key: optimized (a, b) plus the initial point."""
+    """Complete decryption key: optimized (a, b) plus the initial point.
+
+    y0 is only required to be finite, not re-derived from x0: sensitivity
+    experiments perturb each component independently.
+    """
 
     a: float
     b: float
     x0: float
     y0: float
 
-
-def validate_key_record(key: KeyRecord) -> None:
-    """Check a KeyRecord is usable for en/decryption.
-
-    y0 is only required to be finite, not re-derived from x0: sensitivity
-    experiments perturb each component independently.
-    """
-    validate_key_params(MapParams(key.a, key.b))
-    if not math.isfinite(key.x0) or not (0.0 < key.x0 <= 1.0):
-        raise InvalidInput(f"x0={key.x0!r} outside (0, 1]")
-    if not math.isfinite(key.y0):
-        raise InvalidInput("y0 must be finite")
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidInput("map parameters must be finite")
+        if not (A_MIN <= self.a <= A_MAX):
+            raise InvalidInput(f"parameter a={self.a!r} outside [{A_MIN}, {A_MAX}]")
+        if not (B_MIN <= self.b <= B_MAX):
+            raise InvalidInput(f"parameter b={self.b!r} outside [{B_MIN}, {B_MAX}]")
+        if not math.isfinite(self.x0) or not (0.0 < self.x0 <= 1.0):
+            raise InvalidInput(f"x0={self.x0!r} outside (0, 1]")
+        if not math.isfinite(self.y0):
+            raise InvalidInput("y0 must be finite")
 
 
 def rank_descending(values) -> np.ndarray:
@@ -128,11 +137,12 @@ def build_keystream(params: MapParams, initial: MapState, n: int) -> RankKeystre
 
 def encrypt(plaintext, params: MapParams) -> tuple[bytes, KeyRecord]:
     """Encrypt and return (ciphertext, key record needed to decrypt)."""
-    validate_key_params(params)
     data = bytes(plaintext)
     initial = derive_initial_state(data)
-    ks = build_keystream(params, initial, len(data))
+    # Built before the keystream, so (a, b) outside the key ranges fails
+    # before any orbit work.
     record = KeyRecord(a=params.a, b=params.b, x0=initial.x, y0=initial.y)
+    ks = build_keystream(params, initial, len(data))
     return xor_apply(data, ks.key), record
 
 
@@ -141,6 +151,5 @@ def decrypt(ciphertext, key: KeyRecord) -> bytes:
     data = bytes(ciphertext)
     if len(data) == 0:
         raise InvalidInput("ciphertext must be non-empty")
-    validate_key_record(key)
     ks = build_keystream(MapParams(key.a, key.b), MapState(key.x0, key.y0), len(data))
     return xor_apply(data, ks.key)

@@ -139,10 +139,9 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     key = read_key_file(args.key)
     ciphertext = _read_bytes(args.ciphertext)
-    if len(ciphertext) == 0:
-        raise InvalidInput(f"ciphertext file is empty: {args.ciphertext}")
     # x0 is 1/len(plaintext) to within an ulp, so the key names the length
-    # of the message it was made for.
+    # of the message it was made for; x0 <= 1 makes that length >= 1, so an
+    # empty ciphertext fails here too.
     n = 1.0 / key.x0
     if not math.isfinite(n) or len(ciphertext) != round(n):
         raise InvalidInput(
@@ -178,7 +177,7 @@ def cmd_analyze_bifurcation(args) -> int:
     _write_csv(
         args.out,
         (spec.swept_parameter, "x"),
-        ((_fmt(p), _fmt(x)) for p, x in table),
+        ((_fmt(p), _fmt(x)) for p, x in table.tolist()),
         comment=comment,
     )
     print(f"rows: {table.shape[0]}")
@@ -221,7 +220,7 @@ def cmd_analyze_landscape(args) -> int:
     a_range = _parse_range(args.a_range, 2)
     b_range = _parse_range(args.b_range, 2)
     table = analysis.fitness_landscape(plaintext, a_range, b_range, args.grid_a, args.grid_b)
-    _write_csv(args.out, ("a", "b", "fitness"), ((_fmt(a), _fmt(b), _fmt(f)) for a, b, f in table))
+    _write_csv(args.out, ("a", "b", "fitness"), ((_fmt(a), _fmt(b), _fmt(f)) for a, b, f in table.tolist()))
     best = table[:, 2].max()
     near = int((table[:, 2] >= best - 0.5).sum())
     print(f"rows: {table.shape[0]}")

@@ -52,6 +52,8 @@ class GaConfig:
             raise InvalidInput("mutation_probability must be in [0, 1]")
         if self.mutation_step < 0.0:
             raise InvalidInput("mutation_step must be >= 0")
+        if not math.isfinite(self.mutation_step):
+            raise InvalidInput("mutation_step must be finite")
         if not 0.0 <= self.quorum_fraction <= 1.0:
             raise InvalidInput("quorum_fraction must be in [0, 1]")
         if self.max_generations < 1:

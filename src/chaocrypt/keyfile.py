@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
-from .cipher import KeyRecord, validate_key_record
+from .cipher import KeyRecord
 from .errors import FormatError, InvalidInput
 
 FORMAT_VERSION = 1
@@ -36,7 +36,6 @@ def hex_to_float(s: str) -> float:
 
 
 def write_key_file(key: KeyRecord, path) -> None:
-    validate_key_record(key)
     lines = [f"version = {FORMAT_VERSION}"]
     for name in _FIELDS:
         v = float(getattr(key, name))
@@ -85,9 +84,7 @@ def read_key_file(path) -> KeyRecord:
             raise FormatError(f"field {name}: decimal and hex encodings disagree")
         values[name] = v
 
-    key = KeyRecord(**values)
     try:
-        validate_key_record(key)
+        return KeyRecord(**values)
     except InvalidInput as exc:
         raise FormatError(str(exc)) from None
-    return key

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -59,6 +60,31 @@ def test_bifurcation_rejects_bad_specs():
         bifurcation_sweep(SweepSpec("a", 2.0, 1.0, 4.0, 1, 100, 0))
     with pytest.raises(InvalidInput):
         bifurcation_sweep(SweepSpec("a", 2.0, 1.0, 4.0, 10, 100, 100))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"swept_parameter": "c"}, "swept_parameter must be 'a' or 'b'"),
+        ({"fixed_value": math.nan}, "fixed_value must be finite"),
+        ({"fixed_value": math.inf}, "fixed_value must be finite"),
+        ({"range_low": 4.0, "range_high": 1.0}, "range 4.0:1.0 needs low < high"),
+        ({"range_low": 1.0, "range_high": math.nan}, "range 1.0:nan needs low < high"),
+        (
+            {"range_low": -1.7e308, "range_high": 1.7e308},
+            "range -1.7e+308:1.7e+308 is too wide: high - low overflows a double",
+        ),
+        ({"steps": 1}, "steps must be >= 2"),
+        ({"transient": -1}, "need iterations > transient >= 0"),
+        ({"iterations": 100, "transient": 100}, "need iterations > transient >= 0"),
+    ],
+)
+def test_sweep_spec_rejects_each_bad_field_when_constructed(fields, message):
+    good = dict(swept_parameter="a", fixed_value=2.0, range_low=1.0, range_high=4.0,
+                steps=10, iterations=100, transient=0)
+    with pytest.raises(InvalidInput) as exc:
+        SweepSpec(**{**good, **fields})
+    assert str(exc.value) == message
 
 
 def test_lyapunov_degenerates_to_zero_for_rigid_rotation():
@@ -200,6 +226,19 @@ def test_keyspace_rejects_bad_entries():
         keyspace_size([(1.0, 1.0, 0.1)])
     with pytest.raises(InvalidInput):
         keyspace_size([(0.0, 1.0, 0.0)])
+    with pytest.raises(InvalidInput, match="too wide"):
+        keyspace_size([(0.0, math.inf, 1.0)])
+    with pytest.raises(InvalidInput, match="too wide"):
+        keyspace_size([(-1.7e308, 1.7e308, 1e-15)])
+    with pytest.raises(InvalidInput, match="needs low < high"):
+        keyspace_size([(math.nan, 1.0, 0.1)])
+    for precision in (math.inf, math.nan, -1e-15):
+        with pytest.raises(InvalidInput, match="precision"):
+            keyspace_size([(0.0, 1.0, precision)])
+    with pytest.raises(InvalidInput, match="key space size overflows"):
+        keyspace_size([(0.0, 1.0, 1e-320), (0.0, 1.0, 1e-320)])
+    with pytest.raises(InvalidInput, match="key space size overflows"):
+        keyspace_size([(0.0, 1.0, 1e-200), (0.0, 1.0, 1e-200)])
 
 
 def test_sample_text_is_textlike():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -199,6 +200,42 @@ def test_decrypt_rejects_bad_keys():
         decrypt(b"hi", KeyRecord(a=2.0, b=1.0, x0=0.0, y0=1.0))
     with pytest.raises(InvalidInput):
         decrypt(b"", KeyRecord(a=2.0, b=1.0, x0=0.5, y0=0.5))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"a": math.nan}, "map parameters must be finite"),
+        ({"a": math.inf}, "map parameters must be finite"),
+        ({"b": -math.inf}, "map parameters must be finite"),
+        ({"a": 4.5, "b": math.nan}, "map parameters must be finite"),
+        ({"a": 0.5}, "parameter a=0.5 outside [1.0, 4.0]"),
+        ({"a": 4.000000000000001}, "parameter a=4.000000000000001 outside [1.0, 4.0]"),
+        ({"a": 0.5, "b": 0.05}, "parameter a=0.5 outside [1.0, 4.0]"),
+        ({"b": 0.05}, "parameter b=0.05 outside [0.1, 4.0]"),
+        ({"b": 4.1, "x0": 0.0}, "parameter b=4.1 outside [0.1, 4.0]"),
+        ({"x0": 0.0}, "x0=0.0 outside (0, 1]"),
+        ({"x0": -0.5}, "x0=-0.5 outside (0, 1]"),
+        ({"x0": 1.000000001}, "x0=1.000000001 outside (0, 1]"),
+        ({"x0": math.nan}, "x0=nan outside (0, 1]"),
+        ({"x0": math.inf, "y0": math.nan}, "x0=inf outside (0, 1]"),
+        ({"y0": math.nan}, "y0 must be finite"),
+        ({"y0": -math.inf}, "y0 must be finite"),
+    ],
+)
+def test_key_record_rejects_each_bad_field_when_constructed(fields, message):
+    good = {"a": 2.5, "b": 1.5, "x0": 0.25, "y0": 0.75}
+    with pytest.raises(InvalidInput) as exc:
+        KeyRecord(**{**good, **fields})
+    assert str(exc.value) == message
+    with pytest.raises(InvalidInput) as exc:
+        dataclasses.replace(KeyRecord(**good), **fields)
+    assert str(exc.value) == message
+
+
+def test_key_record_accepts_the_range_ends():
+    KeyRecord(a=1.0, b=0.1, x0=1.0, y0=-1e308)
+    KeyRecord(a=4.0, b=4.0, x0=5e-324, y0=0.0)
 
 
 def test_byte_set_jaccard_regression_at_1000_bytes():

@@ -377,6 +377,33 @@ def test_keyspace_malformed_range_exits_2(capsys):
     assert main(["keyspace", "--range", "0:1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        ["0:inf:1"],
+        ["-1.7e308:1.7e308:1e-15"],
+        ["0:1:1e-320", "0:1:1e-320"],
+        ["0:1:inf"],
+    ],
+)
+def test_keyspace_that_is_not_a_finite_double_exits_2(capsys, ranges):
+    rc = main(["keyspace", *(f"--range={r}" for r in ranges)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_encrypt_non_finite_mutation_step_exits_2_before_ga(tmp_path, capsys, monkeypatch, step):
+    _evolve_must_not_run(monkeypatch)
+    cipher, key = tmp_path / "c", tmp_path / "k"
+    argv = _ga_encrypt_argv(tmp_path, cipher, key)
+    assert main([*argv, f"--mutation-step={step}", "--mutation-prob", "1"]) == 2
+    assert capsys.readouterr().err == "error: mutation_step must be finite\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chaocrypt.cli", "keyspace"],

@@ -314,6 +314,9 @@ def test_config_validation():
         GaConfig(mutation_probability=1.5)
     with pytest.raises(InvalidInput):
         GaConfig(max_generations=0)
+    for step in (math.inf, math.nan):
+        with pytest.raises(InvalidInput, match="mutation_step"):
+            GaConfig(mutation_step=step)
 
 
 def test_elite_count_uses_ceiling():
