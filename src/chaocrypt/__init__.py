@@ -39,7 +39,6 @@ from .errors import (
     ChaocryptError,
     FormatError,
     InvalidInput,
-    InvalidState,
     NumericalError,
 )
 from .ga import (

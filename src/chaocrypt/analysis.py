@@ -298,6 +298,8 @@ def keyspace_size(ranges) -> float:
         if not (0.0 < precision < math.inf):
             raise InvalidInput("each precision must be finite and > 0")
         total *= (high - low) / precision
+    if total == 0.0:
+        raise InvalidInput("key space size underflows to 0")
     if not math.isfinite(total):
         raise InvalidInput("key space size overflows a double")
     return total

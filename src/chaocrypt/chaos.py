@@ -31,7 +31,7 @@ B_MIN, B_MAX = 0.1, 4.0
 
 @dataclass(frozen=True)
 class MapParams:
-    """Coefficients (a, b) of the map; the chromosome the optimizer evolves."""
+    """Coefficients (a, b) of the map."""
 
     a: float
     b: float

@@ -20,7 +20,7 @@ from . import analysis, ga
 from .chaos import MapParams, MapState, derive_initial_state
 from .cipher import KeyRecord, encrypt
 from .cipher import decrypt as cipher_decrypt
-from .errors import FormatError, InvalidInput, InvalidState, NumericalError
+from .errors import FormatError, InvalidInput, NumericalError
 from .keyfile import read_key_file, write_key_file
 
 
@@ -97,6 +97,13 @@ def _add_ga_flags(parser) -> None:
 
 
 def cmd_encrypt(args) -> int:
+    if args.skip_ga:
+        if args.a is None or args.b is None:
+            raise InvalidInput("--skip-ga requires --a and --b")
+        if args.report is not None:
+            raise InvalidInput("--report cannot be used with --skip-ga")
+    elif args.a is not None or args.b is not None:
+        raise InvalidInput("--a and --b are used only with --skip-ga")
     for path in (args.out, args.key_out, args.report):
         if path is not None:
             _check_output_path(path)
@@ -107,8 +114,6 @@ def cmd_encrypt(args) -> int:
         raise InvalidInput(f"plaintext file is empty: {args.plaintext}")
 
     if args.skip_ga:
-        if args.a is None or args.b is None:
-            raise InvalidInput("--skip-ga requires --a and --b")
         params = MapParams(args.a, args.b)
         ciphertext, record = encrypt(plaintext, params)
         score = ga.FitnessEvaluator(plaintext).score(params)
@@ -251,6 +256,8 @@ def cmd_analyze_lengths(args) -> int:
 
 
 def cmd_analyze_sensitivity(args) -> int:
+    if args.key and (args.a is not None or args.b is not None):
+        raise InvalidInput("--a and --b cannot be used with --key")
     plaintext = _read_bytes(args.plaintext)
     if args.key:
         key = read_key_file(args.key)
@@ -375,7 +382,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (InvalidInput, InvalidState, FormatError, OSError) as exc:
+    except (InvalidInput, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -9,10 +9,6 @@ class InvalidInput(ChaocryptError):
     """An argument violates a documented precondition."""
 
 
-class InvalidState(ChaocryptError):
-    """An object is used before it is ready (e.g. unevaluated genome)."""
-
-
 class FormatError(ChaocryptError):
     """A file does not conform to its on-disk format."""
 

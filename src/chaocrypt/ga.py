@@ -18,7 +18,7 @@ import numpy as np
 
 from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, MapParams, derive_initial_state
 from .cipher import build_keystream
-from .errors import InvalidInput, InvalidState
+from .errors import InvalidInput
 
 TERMINATED_BY_QUORUM = "quorum"
 TERMINATED_BY_CAP = "generation-cap"
@@ -26,10 +26,10 @@ TERMINATED_BY_CAP = "generation-cap"
 
 @dataclass(frozen=True)
 class Genome:
-    """A candidate key with its score, or fitness=None before evaluation."""
+    """The best key of a run with its score (EvolutionReport.best_genome)."""
 
     params: MapParams
-    fitness: float | None = None
+    fitness: float
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class GaConfig:
             raise InvalidInput("mutation_step must be >= 0")
         if not math.isfinite(self.mutation_step):
             raise InvalidInput("mutation_step must be finite")
+        if not math.isfinite(self.fitness_threshold):
+            raise InvalidInput("fitness_threshold must be finite")
         if not 0.0 <= self.quorum_fraction <= 1.0:
             raise InvalidInput("quorum_fraction must be in [0, 1]")
         if self.max_generations < 1:
@@ -129,48 +131,42 @@ class FitnessEvaluator:
         return 100.0 - 100.0 * inter / union
 
 
-def spawn_population(config: GaConfig, rng: random.Random) -> list[Genome]:
-    """population_size genomes, a ~ U(1, 4) and b ~ U(0.1, 4), unevaluated."""
+def spawn_population(config: GaConfig, rng: random.Random) -> list[tuple[float, float]]:
+    """population_size (a, b) pairs, a ~ U(1, 4) and b ~ U(0.1, 4)."""
     return [
-        Genome(MapParams(rng.uniform(A_MIN, A_MAX), rng.uniform(B_MIN, B_MAX)))
+        (rng.uniform(A_MIN, A_MAX), rng.uniform(B_MIN, B_MAX))
         for _ in range(config.population_size)
     ]
 
 
-def select_top(population, elite_fraction: float) -> list[Genome]:
-    """The ceil(elite_fraction * N) fittest genomes, descending, ties by index."""
-    for g in population:
-        if g.fitness is None:
-            raise InvalidState("population contains unevaluated genomes")
+def select_top(population, fitnesses, elite_fraction: float) -> list[tuple[float, float]]:
+    """The ceil(elite_fraction * N) pairs of highest fitnesses[i] (the score
+    of population[i]), descending, ties by index."""
+    if len(population) != len(fitnesses):
+        raise InvalidInput("population and fitnesses differ in length")
     k = math.ceil(elite_fraction * len(population))
-    order = sorted(range(len(population)), key=lambda i: (-population[i].fitness, i))
+    order = sorted(range(len(population)), key=lambda i: (-fitnesses[i], i))
     return [population[i] for i in order[:k]]
 
 
-def crossover(parent_1: Genome, parent_2: Genome) -> tuple[Genome, Genome]:
+def crossover(parent_1, parent_2) -> tuple[tuple[float, float], tuple[float, float]]:
     """Swap genes at the single interior cut of the 2-gene chromosome."""
-    return (
-        Genome(MapParams(parent_1.params.a, parent_2.params.b)),
-        Genome(MapParams(parent_2.params.a, parent_1.params.b)),
-    )
+    return (parent_1[0], parent_2[1]), (parent_2[0], parent_1[1])
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
-def mutate(genome: Genome, config: GaConfig, rng: random.Random) -> Genome:
+def mutate(pair, config: GaConfig, rng: random.Random) -> tuple[float, float]:
     """Nudge each gene (independently, with mutation_probability) by a uniform
     step in [-mutation_step, +mutation_step], clamped to the legal range."""
-    a, b = genome.params.a, genome.params.b
-    na, nb = a, b
+    a, b = pair
     if rng.random() < config.mutation_probability:
-        na = _clamp(a + rng.uniform(-config.mutation_step, config.mutation_step), A_MIN, A_MAX)
+        a = _clamp(a + rng.uniform(-config.mutation_step, config.mutation_step), A_MIN, A_MAX)
     if rng.random() < config.mutation_probability:
-        nb = _clamp(b + rng.uniform(-config.mutation_step, config.mutation_step), B_MIN, B_MAX)
-    if na == a and nb == b:
-        return genome
-    return Genome(MapParams(na, nb))
+        b = _clamp(b + rng.uniform(-config.mutation_step, config.mutation_step), B_MIN, B_MAX)
+    return a, b
 
 
 def evolve(plaintext, config: GaConfig) -> EvolutionReport:
@@ -179,40 +175,33 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
 
     Stops once strictly more than quorum_fraction of a generation scores at
     least fitness_threshold, or at max_generations.  The returned best genome
-    is the fittest ever evaluated, snapshotted before mutation so it really
-    achieves its recorded score.
+    is the fittest pair ever scored (the first scored among equals), with the
+    score it was given.
 
-    Each distinct (a, b) is scored once per run: a child that crossover or
-    mutation gives the params of a genome already scored takes that score.
+    Each distinct (a, b) is scored once per run, at its first appearance,
+    and the run's score table is the only record of fitness.
     """
     evaluator = FitnessEvaluator(plaintext)
-    scored: dict[MapParams, float] = {}
+    scored: dict[tuple[float, float], float] = {}
     rng = random.Random(config.rng_seed)
     population = spawn_population(config, rng)
     history: list[GenerationRecord] = []
-    best: Genome | None = None
     terminated_by = TERMINATED_BY_CAP
     generation = 0
 
     for generation in range(1, config.max_generations + 1):
-        for i, g in enumerate(population):
-            if g.fitness is None:
-                score = scored.get(g.params)
-                if score is None:
-                    score = scored[g.params] = evaluator.score(g.params)
-                population[i] = Genome(g.params, score)
-        scores = [g.fitness for g in population]
+        for pair in population:
+            if pair not in scored:
+                scored[pair] = evaluator.score(MapParams(*pair))
+        scores = [scored[pair] for pair in population]
         history.append(
             GenerationRecord(
                 generation=generation,
                 max_fitness=max(scores),
                 mean_fitness=sum(scores) / len(scores),
-                population=tuple((g.params.a, g.params.b, g.fitness) for g in population),
+                population=tuple((a, b, f) for (a, b), f in zip(population, scores)),
             )
         )
-        for g in population:
-            if best is None or g.fitness > best.fitness:
-                best = g
         hits = sum(1 for s in scores if s >= config.fitness_threshold)
         if hits > config.quorum_fraction * config.population_size:
             terminated_by = TERMINATED_BY_QUORUM
@@ -220,18 +209,19 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
         if generation == config.max_generations:
             break
 
-        survivors = select_top(population, config.elite_fraction)
+        survivors = select_top(population, scores, config.elite_fraction)
         k = len(survivors)
-        children: list[Genome] = []
+        children: list[tuple[float, float]] = []
         while k + len(children) < config.population_size:
             first, second = crossover(survivors[rng.randrange(k)], survivors[rng.randrange(k)])
             children.append(first)
             if k + len(children) < config.population_size:
                 children.append(second)
-        population = [mutate(g, config, rng) for g in survivors + children]
+        population = [mutate(pair, config, rng) for pair in survivors + children]
 
+    best = max(scored, key=scored.__getitem__)
     return EvolutionReport(
-        best_genome=best,
+        best_genome=Genome(MapParams(*best), scored[best]),
         generations_run=generation,
         history=tuple(history),
         terminated_by=terminated_by,

@@ -239,6 +239,10 @@ def test_keyspace_rejects_bad_entries():
         keyspace_size([(0.0, 1.0, 1e-320), (0.0, 1.0, 1e-320)])
     with pytest.raises(InvalidInput, match="key space size overflows"):
         keyspace_size([(0.0, 1.0, 1e-200), (0.0, 1.0, 1e-200)])
+    with pytest.raises(InvalidInput, match="key space size underflows to 0"):
+        keyspace_size([(0.0, 1e-300, 1e300)])
+    with pytest.raises(InvalidInput, match="key space size underflows to 0"):
+        keyspace_size([(0.0, 1e-200, 1.0), (0.0, 1e-200, 1.0)])
 
 
 def test_sample_text_is_textlike():

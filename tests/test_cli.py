@@ -404,6 +404,55 @@ def test_encrypt_non_finite_mutation_step_exits_2_before_ga(tmp_path, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
 
 
+@pytest.mark.parametrize("ranges", [["0:1e-300:1e300"], ["0:1e-200:1", "0:1e-200:1"]])
+def test_keyspace_that_underflows_to_zero_exits_2(capsys, ranges):
+    rc = main(["keyspace", *(f"--range={r}" for r in ranges)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: key space size underflows to 0\n")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_encrypt_non_finite_threshold_exits_2_before_ga(tmp_path, capsys, monkeypatch, threshold):
+    _evolve_must_not_run(monkeypatch)
+    argv = _ga_encrypt_argv(tmp_path, tmp_path / "c", tmp_path / "k")
+    assert main([*argv, f"--threshold={threshold}", "--max-generations", "3"]) == 2
+    assert capsys.readouterr().err == "error: fitness_threshold must be finite\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["encrypt", "PLAIN", "--out", "OUT", "--key-out", "KEY", "--a", "2", "--b", "2"], "--a"),
+        (
+            ["encrypt", "PLAIN", "--out", "OUT", "--key-out", "KEY",
+             "--skip-ga", "--a", "2", "--b", "2", "--report", "REPORT"],
+            "--report",
+        ),
+        (
+            ["analyze", "sensitivity", "--plaintext", "PLAIN", "--key", "KEY", "--a", "3.9", "--b", "0.2",
+             "--component", "a", "--epsilon", "1e-15", "--out", "OUT"],
+            "--a",
+        ),
+    ],
+)
+def test_option_the_mode_does_not_use_exits_2_before_reading_input(tmp_path, capsys, monkeypatch, argv, option):
+    from chaocrypt import cli
+
+    def must_not_read(path):
+        raise AssertionError(f"{path} was read before the options were checked")
+
+    _evolve_must_not_run(monkeypatch)
+    monkeypatch.setattr(cli, "_read_bytes", must_not_read)
+    monkeypatch.setattr(cli, "read_key_file", must_not_read)
+    (tmp_path / "plain").write_bytes(b"a message that must not be read")
+    paths = {name: str(tmp_path / name.lower()) for name in ("PLAIN", "OUT", "KEY", "REPORT")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chaocrypt.cli", "keyspace"],

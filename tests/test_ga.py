@@ -22,7 +22,6 @@ from chaocrypt import (
     select_top,
     spawn_population,
 )
-from chaocrypt.errors import InvalidState
 
 
 def test_jaccard_identical_sets():
@@ -117,10 +116,9 @@ def test_spawn_population_ranges_and_size():
     rng = random.Random(0)
     pop = spawn_population(GaConfig(), rng)
     assert len(pop) == 20
-    for g in pop:
-        assert 1.0 <= g.params.a <= 4.0
-        assert 0.1 <= g.params.b <= 4.0
-        assert g.fitness is None
+    for a, b in pop:
+        assert 1.0 <= a <= 4.0
+        assert 0.1 <= b <= 4.0
 
 
 def test_spawn_population_is_seed_deterministic():
@@ -132,89 +130,71 @@ def test_spawn_population_is_seed_deterministic():
 def test_spawn_population_mean_matches_uniform_law():
     rng = random.Random(1)
     config = GaConfig(population_size=10_000)
-    mean_a = sum(g.params.a for g in spawn_population(config, rng)) / 10_000
+    mean_a = sum(a for a, _ in spawn_population(config, rng)) / 10_000
     assert abs(mean_a - 2.5) <= 0.05
 
 
 def test_select_top_counts():
-    pop = [Genome(MapParams(2.0, 2.0), fitness=float(i)) for i in range(20)]
-    assert len(select_top(pop, 0.2)) == 4
+    pop = [(2.0, 2.0)] * 20
+    assert len(select_top(pop, [float(i) for i in range(20)], 0.2)) == 4
 
 
 def test_select_top_puts_best_first():
-    pop = [Genome(MapParams(2.0, 2.0), fitness=0.0) for _ in range(19)]
-    star = Genome(MapParams(3.0, 3.0), fitness=100.0)
-    pop.insert(7, star)
-    assert select_top(pop, 0.2)[0] is star
+    pop = [(2.0, 2.0)] * 19
+    fitnesses = [0.0] * 19
+    pop.insert(7, (3.0, 3.0))
+    fitnesses.insert(7, 100.0)
+    assert select_top(pop, fitnesses, 0.2)[0] == (3.0, 3.0)
 
 
 def test_select_top_breaks_ties_by_index():
-    pop = [Genome(MapParams(1.0 + i * 0.1, 2.0), fitness=50.0) for i in range(10)]
-    assert select_top(pop, 0.2) == pop[:2]
+    pop = [(1.0 + i * 0.1, 2.0) for i in range(10)]
+    assert select_top(pop, [50.0] * 10, 0.2) == pop[:2]
 
 
-def test_select_top_rejects_unevaluated():
-    pop = [Genome(MapParams(2.0, 2.0))] * 5
-    with pytest.raises(InvalidState):
-        select_top(pop, 0.2)
+def test_select_top_rejects_length_mismatch():
+    with pytest.raises(InvalidInput):
+        select_top([(2.0, 2.0)] * 5, [1.0] * 4, 0.2)
 
 
 def test_crossover_swaps_genes():
-    kid1, kid2 = crossover(Genome(MapParams(1.5, 2.0)), Genome(MapParams(3.0, 0.5)))
-    assert (kid1.params.a, kid1.params.b) == (1.5, 0.5)
-    assert (kid2.params.a, kid2.params.b) == (3.0, 2.0)
-    assert kid1.fitness is None and kid2.fitness is None
+    assert crossover((1.5, 2.0), (3.0, 0.5)) == ((1.5, 0.5), (3.0, 2.0))
 
 
 def test_crossover_of_identical_parents():
-    parent = Genome(MapParams(2.2, 3.3), fitness=90.0)
-    kid1, kid2 = crossover(parent, parent)
-    assert kid1.params == parent.params
-    assert kid2.params == parent.params
+    parent = (2.2, 3.3)
+    assert crossover(parent, parent) == (parent, parent)
 
 
 def test_crossover_offspring_genes_come_from_parents():
     rng = random.Random(2)
     for _ in range(100):
-        p1 = Genome(MapParams(rng.uniform(1, 4), rng.uniform(0.1, 4)))
-        p2 = Genome(MapParams(rng.uniform(1, 4), rng.uniform(0.1, 4)))
-        for kid in crossover(p1, p2):
-            assert kid.params.a in (p1.params.a, p2.params.a)
-            assert kid.params.b in (p1.params.b, p2.params.b)
+        p1 = (rng.uniform(1, 4), rng.uniform(0.1, 4))
+        p2 = (rng.uniform(1, 4), rng.uniform(0.1, 4))
+        for a, b in crossover(p1, p2):
+            assert a in (p1[0], p2[0])
+            assert b in (p1[1], p2[1])
 
 
 def test_mutate_zero_probability_is_identity():
-    config = GaConfig(mutation_probability=0.0)
-    genome = Genome(MapParams(2.0, 2.0), fitness=42.0)
-    out = mutate(genome, config, random.Random(3))
-    assert out == genome
+    pair = (2.0, 2.0)
+    assert mutate(pair, GaConfig(mutation_probability=0.0), random.Random(3)) == pair
+    config = GaConfig(mutation_probability=1.0, mutation_step=0.05)
+    assert mutate(pair, config, random.Random(5)) != pair
 
 
 def test_mutate_clamps_at_lower_bound():
     config = GaConfig(mutation_probability=1.0, mutation_step=0.05)
     rng = random.Random(4)
     for _ in range(200):
-        out = mutate(Genome(MapParams(1.0, 2.0)), config, rng)
-        assert 1.0 <= out.params.a <= 1.05
-
-
-def test_mutate_resets_fitness_only_when_changed():
-    config = GaConfig(mutation_probability=1.0, mutation_step=0.05)
-    genome = Genome(MapParams(2.0, 2.0), fitness=77.0)
-    out = mutate(genome, config, random.Random(5))
-    assert out.params != genome.params
-    assert out.fitness is None
-    untouched = mutate(genome, GaConfig(mutation_probability=0.0), random.Random(5))
-    assert untouched.fitness == 77.0
+        a, _ = mutate((1.0, 2.0), config, rng)
+        assert 1.0 <= a <= 1.05
 
 
 def test_mutate_rate_matches_probability():
     config = GaConfig(mutation_probability=0.1, mutation_step=0.05)
     rng = random.Random(6)
-    genome = Genome(MapParams(2.5, 2.5))
-    changed = sum(
-        mutate(genome, config, rng).params.a != 2.5 for _ in range(10_000)
-    )
+    changed = sum(mutate((2.5, 2.5), config, rng)[0] != 2.5 for _ in range(10_000))
     assert abs(changed / 10_000 - 0.10) <= 0.01
 
 
@@ -250,6 +230,16 @@ def test_evolve_best_genome_score_is_reachable():
     report = evolve(plaintext, GaConfig(rng_seed=12, max_generations=10))
     evaluator = FitnessEvaluator(plaintext)
     assert evaluator.score(report.best_genome.params) == report.best_genome.fitness
+
+
+def test_evolve_best_is_first_scored_among_fittest():
+    # Three distinct pairs share this run's maximum, first reached in the
+    # second generation; the best genome is the first of them in history.
+    report = evolve(b"tie break", GaConfig(rng_seed=12, fitness_threshold=100.1, max_generations=6))
+    top = max(rec.max_fitness for rec in report.history)
+    fittest = [(a, b) for rec in report.history for a, b, f in rec.population if f == top]
+    assert len(set(fittest)) >= 2
+    assert report.best_genome == Genome(MapParams(*fittest[0]), top)
 
 
 def test_evolve_terminates_by_quorum_when_threshold_is_trivial():
@@ -317,8 +307,12 @@ def test_config_validation():
     for step in (math.inf, math.nan):
         with pytest.raises(InvalidInput, match="mutation_step"):
             GaConfig(mutation_step=step)
+    for threshold in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidInput, match="fitness_threshold must be finite"):
+            GaConfig(fitness_threshold=threshold)
+    assert GaConfig(fitness_threshold=100.1).fitness_threshold == 100.1
 
 
 def test_elite_count_uses_ceiling():
-    pop = [Genome(MapParams(2.0, 2.0), fitness=float(i)) for i in range(10)]
-    assert len(select_top(pop, 0.25)) == math.ceil(2.5)
+    pop = [(2.0, 2.0)] * 10
+    assert len(select_top(pop, [float(i) for i in range(10)], 0.25)) == math.ceil(2.5)
