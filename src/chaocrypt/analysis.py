@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, generate_sequence
-from .cipher import KeyRecord, decrypt
+from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, generate_sequence, orbits
+from .cipher import KeyRecord, decrypt, keystream_from_orbit
 from .errors import InvalidInput, NumericalError
 from .ga import FitnessEvaluator, GaConfig, evolve
 
@@ -93,16 +93,12 @@ def bifurcation_sweep(spec: SweepSpec) -> np.ndarray:
     """
     values = np.linspace(spec.range_low, spec.range_high, spec.steps)
     m = spec.iterations - spec.transient
-    out = np.empty((spec.steps * m, 2), dtype=np.float64)
-    for i, p in enumerate(values):
-        if spec.swept_parameter == "a":
-            params = MapParams(a=float(p), b=spec.fixed_value)
-        else:
-            params = MapParams(a=spec.fixed_value, b=float(p))
-        xs, _ = generate_sequence(params, spec.initial_state, m, spec.transient)
-        out[i * m : (i + 1) * m, 0] = p
-        out[i * m : (i + 1) * m, 1] = xs
-    return out
+    if spec.swept_parameter == "a":
+        a, b = values, spec.fixed_value
+    else:
+        a, b = spec.fixed_value, values
+    xs = np.concatenate([block for block, _ in orbits(a, b, spec.initial_state, m, spec.transient)])
+    return np.column_stack((np.repeat(values, m), xs.ravel()))
 
 
 def bin_coverage(xs, bins: int = 100) -> float:
@@ -173,7 +169,9 @@ def lyapunov_spectrum(
 def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> np.ndarray:
     """Fitness of encrypting `plaintext` at every point of an (a, b) grid.
 
-    Returns grid_a * grid_b rows of (a, b, fitness), a-major order.
+    Returns grid_a * grid_b rows of (a, b, fitness), a-major order.  Each
+    cell's orbit comes from chaos.orbits and is ranked and scored exactly as
+    FitnessEvaluator.score would.
     """
     a_low, a_high = a_range
     b_low, b_high = b_range
@@ -182,17 +180,14 @@ def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> 
     if grid_a < 1 or grid_b < 1:
         raise InvalidInput("grid sizes must be >= 1")
     evaluator = FitnessEvaluator(plaintext)
-    a_vals = np.linspace(a_low, a_high, grid_a)
-    b_vals = np.linspace(b_low, b_high, grid_b)
-    out = np.empty((grid_a * grid_b, 3), dtype=np.float64)
-    row = 0
-    for a in a_vals:
-        for b in b_vals:
-            out[row, 0] = a
-            out[row, 1] = b
-            out[row, 2] = evaluator.score(MapParams(float(a), float(b)))
-            row += 1
-    return out
+    a = np.repeat(np.linspace(a_low, a_high, grid_a), grid_b)
+    b = np.tile(np.linspace(b_low, b_high, grid_b), grid_a)
+    scores = [
+        evaluator.score_key(keystream_from_orbit(x, y).key)
+        for xs, ys in orbits(a, b, evaluator.initial, evaluator.n)
+        for x, y in zip(xs, ys)
+    ]
+    return np.column_stack((a, b, scores))
 
 
 # English letter frequencies, most common twelve letters only.  Sample texts

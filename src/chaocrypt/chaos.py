@@ -12,16 +12,29 @@ x always lands back in [0, 1); y is left unbounded.
 All arithmetic is IEEE-754 binary64.  Key reproducibility across machines
 additionally requires a correctly rounded libm sin; +, -, *, and mod are
 correctly rounded everywhere.  The test suite pins reference orbits.
+
+generate_sequence is the definition of an orbit.  `orbits` steps many of
+them at once with numpy in the same operation order, and is used only where
+numpy's sin returns libm's bits on a fixed probe; the tests bind the two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidInput, NumericalError
 
 TWO_PI = 2.0 * math.pi
+
+# `orbits` holds at most this many bytes of xs and ys per block of lanes, and
+# steps a block in numpy only if it holds at least ORBIT_MIN_LANES lanes:
+# below that numpy's fixed cost per step outweighs the lanes it steps at once.
+ORBIT_BLOCK_BYTES = 2 << 20
+ORBIT_MIN_LANES = 64
 
 # Ranges that encryption keys are drawn from.  Analysis sweeps may step
 # outside them (e.g. b down to 0); a cipher.KeyRecord may not.
@@ -104,3 +117,96 @@ def generate_sequence(
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NumericalError("orbit left the finite doubles")
     return xs, ys
+
+
+@functools.cache
+def _numpy_sin_matches_libm() -> bool:
+    """Whether np.sin gives math.sin's bits on a fixed probe: the sin
+    arguments of a fixed orbit and +-10**k for k = -8..8 in 1/8 steps.
+    Checked on first use, not at import."""
+    _, ys = generate_sequence(MapParams(3.7, 2.9), MapState(0.123, 0.456), 2048)
+    scales = np.logspace(-8.0, 8.0, 129)
+    probe = np.concatenate([TWO_PI * np.asarray(ys), scales, -scales])
+    libm = np.array([math.sin(v) for v in probe.tolist()])
+    return np.sin(probe).tobytes() == libm.tobytes()
+
+
+def orbits(a, b, initial: MapState, n: int, transient: int = 0):
+    """generate_sequence for K lanes of parameters (a[k], b[k]), all from
+    `initial`: yields (xs, ys) blocks of shape (lanes, n), lanes in order.
+
+    A block holds at most ORBIT_BLOCK_BYTES of xs and ys.  It is stepped
+    for all its lanes at once in generate_sequence's operation order, so
+    each row equals that lane's generate_sequence orbit bit for bit where
+    np.sin rounds as math.sin does.  A block of fewer than ORBIT_MIN_LANES
+    lanes, and every block on a machine whose np.sin fails the probe of
+    _numpy_sin_matches_libm, is filled lane by lane from generate_sequence
+    instead.  Raises NumericalError, as generate_sequence does, if any lane
+    leaves the finite doubles.
+    """
+    if n < 1:
+        raise InvalidInput("sequence length must be >= 1")
+    if transient < 0:
+        raise InvalidInput("transient must be >= 0")
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    if a.ndim != 1:
+        raise InvalidInput("a and b must broadcast to one 1-D sequence of lanes")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInput("map parameters must be finite")
+    return _orbit_blocks(a, b, initial, n, transient)
+
+
+def _orbit_blocks(a, b, initial, n, transient):
+    lanes = a.size
+    capacity = max(1, ORBIT_BLOCK_BYTES // (16 * n))
+    blocks = -(-lanes // capacity)
+    for i in range(blocks):
+        lo, hi = i * lanes // blocks, (i + 1) * lanes // blocks
+        if hi - lo >= ORBIT_MIN_LANES and _numpy_sin_matches_libm():
+            yield _step_lanes(a[lo:hi], b[lo:hi], initial, n, transient)
+            continue
+        xs = np.empty((hi - lo, n))
+        ys = np.empty((hi - lo, n))
+        for k in range(lo, hi):
+            xs[k - lo], ys[k - lo] = generate_sequence(
+                MapParams(float(a[k]), float(b[k])), initial, n, transient
+            )
+        yield xs, ys
+
+
+def _step_lanes(a, b, initial, n, transient):
+    """generate_sequence's loop over the lanes of a and b at once.  Row i of
+    the (n, lanes) buffers is step i; the caller gets them transposed."""
+    lanes = a.size
+    xs = np.empty((n, lanes))
+    ys = np.empty((n, lanes))
+    x, y = np.full(lanes, initial.x), np.full(lanes, initial.y)
+    s, t = np.empty(lanes), np.empty(lanes)
+    wrapped = np.empty(lanes, dtype=bool)
+    # A lane that leaves the finite doubles turns NaN or infinite and stays
+    # so (np.sin(inf) is NaN where math.sin raises); the final check finds it.
+    with np.errstate(all="ignore"):
+        for i in range(-transient, n):
+            # Transient steps overwrite x and y: each is read for the last
+            # time before its new value is stored.  The last argument of each
+            # ufunc is its output.
+            new_x, new_y = (xs[i], ys[i]) if i >= 0 else (x, y)
+            # t = x + b + a * sin(two_pi * y)
+            np.multiply(TWO_PI, y, s)
+            np.sin(s, s)
+            np.multiply(a, s, s)
+            np.add(x, b, t)
+            np.add(t, s, t)
+            # y' = 1.0 - a * x * x + y
+            np.multiply(a, x, s)
+            np.multiply(s, x, s)
+            np.subtract(1.0, s, s)
+            np.add(s, y, new_y)
+            # x' = t % 1.0, then the >= 1.0 fix-up
+            np.remainder(t, 1.0, new_x)
+            np.greater_equal(new_x, 1.0, wrapped)
+            new_x[wrapped] = 0.0
+            x, y = new_x, new_y
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericalError("orbit left the finite doubles")
+    return xs.T, ys.T

@@ -125,14 +125,18 @@ def xor_apply(data, key) -> bytes:
     return (d ^ (k & 0xFF).astype(np.uint8)).tobytes()
 
 
-def build_keystream(params: MapParams, initial: MapState, n: int) -> RankKeystream:
-    """Generate the orbit and assemble the rank keystream for n bytes."""
-    xs, ys = generate_sequence(params, initial, n)
+def keystream_from_orbit(xs, ys) -> RankKeystream:
+    """The rank keystream of one orbit's x and y sequences."""
     s_x = rank_descending(xs)
     s_y = rank_descending(ys)
     # Ranks are permutations by construction; compose_key's checks are for
     # arrays from outside the package.
     return RankKeystream(s_x=s_x, s_y=s_y, key=s_y[s_x])
+
+
+def build_keystream(params: MapParams, initial: MapState, n: int) -> RankKeystream:
+    """Generate the orbit and assemble the rank keystream for n bytes."""
+    return keystream_from_orbit(*generate_sequence(params, initial, n))
 
 
 def encrypt(plaintext, params: MapParams) -> tuple[bytes, KeyRecord]:

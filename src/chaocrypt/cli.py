@@ -71,29 +71,29 @@ def _write_atomic(path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
+# GaConfig field -> (its flag, its type).  The flags default to None, so a
+# command can tell a flag given from one left out.
+_GA_FLAGS = {
+    "population_size": ("--population", int),
+    "elite_fraction": ("--elite-fraction", float),
+    "mutation_probability": ("--mutation-prob", float),
+    "mutation_step": ("--mutation-step", float),
+    "fitness_threshold": ("--threshold", float),
+    "quorum_fraction": ("--quorum", float),
+    "max_generations": ("--max-generations", int),
+    "rng_seed": ("--seed", int),
+}
+
+
 def _ga_config(args) -> ga.GaConfig:
-    return ga.GaConfig(
-        population_size=args.population,
-        elite_fraction=args.elite_fraction,
-        mutation_probability=args.mutation_prob,
-        mutation_step=args.mutation_step,
-        fitness_threshold=args.threshold,
-        quorum_fraction=args.quorum,
-        max_generations=args.max_generations,
-        rng_seed=args.seed,
-    )
+    """GaConfig from the GA flags given; GaConfig's defaults fill the rest."""
+    given = {field: getattr(args, field) for field in _GA_FLAGS}
+    return ga.GaConfig(**{field: v for field, v in given.items() if v is not None})
 
 
 def _add_ga_flags(parser) -> None:
-    defaults = ga.GaConfig()
-    parser.add_argument("--population", type=int, default=defaults.population_size)
-    parser.add_argument("--elite-fraction", type=float, default=defaults.elite_fraction)
-    parser.add_argument("--mutation-prob", type=float, default=defaults.mutation_probability)
-    parser.add_argument("--mutation-step", type=float, default=defaults.mutation_step)
-    parser.add_argument("--threshold", type=float, default=defaults.fitness_threshold)
-    parser.add_argument("--quorum", type=float, default=defaults.quorum_fraction)
-    parser.add_argument("--max-generations", type=int, default=defaults.max_generations)
-    parser.add_argument("--seed", type=int, default=defaults.rng_seed)
+    for field, (flag, kind) in _GA_FLAGS.items():
+        parser.add_argument(flag, dest=field, type=kind, default=None)
 
 
 def cmd_encrypt(args) -> int:
@@ -102,6 +102,9 @@ def cmd_encrypt(args) -> int:
             raise InvalidInput("--skip-ga requires --a and --b")
         if args.report is not None:
             raise InvalidInput("--report cannot be used with --skip-ga")
+        for field, (flag, _) in _GA_FLAGS.items():
+            if getattr(args, field) is not None:
+                raise InvalidInput(f"{flag} cannot be used with --skip-ga")
     elif args.a is not None or args.b is not None:
         raise InvalidInput("--a and --b are used only with --skip-ga")
     for path in (args.out, args.key_out, args.report):
@@ -158,6 +161,7 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_analyze_bifurcation(args) -> int:
+    _check_output_path(args.out)
     low, high = _parse_range(args.range, 2)
     spec = analysis.SweepSpec(
         swept_parameter=args.param,
@@ -192,6 +196,8 @@ def cmd_analyze_bifurcation(args) -> int:
 
 
 def cmd_analyze_lyapunov(args) -> int:
+    if args.out:
+        _check_output_path(args.out)
     result = analysis.lyapunov_spectrum(
         MapParams(args.a, args.b),
         MapState(args.x0, args.y0),
@@ -221,6 +227,7 @@ def cmd_analyze_lyapunov(args) -> int:
 
 
 def cmd_analyze_landscape(args) -> int:
+    _check_output_path(args.out)
     plaintext = _read_bytes(args.plaintext)
     a_range = _parse_range(args.a_range, 2)
     b_range = _parse_range(args.b_range, 2)
@@ -235,6 +242,7 @@ def cmd_analyze_landscape(args) -> int:
 
 
 def cmd_analyze_lengths(args) -> int:
+    _check_output_path(args.out)
     try:
         lengths = [int(p) for p in args.lengths.split(",") if p]
     except ValueError:
@@ -258,6 +266,8 @@ def cmd_analyze_lengths(args) -> int:
 def cmd_analyze_sensitivity(args) -> int:
     if args.key and (args.a is not None or args.b is not None):
         raise InvalidInput("--a and --b cannot be used with --key")
+    if args.out:
+        _check_output_path(args.out)
     plaintext = _read_bytes(args.plaintext)
     if args.key:
         key = read_key_file(args.key)

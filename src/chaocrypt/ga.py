@@ -105,17 +105,17 @@ def fitness(plaintext, ciphertext) -> float:
 class FitnessEvaluator:
     """Scores (a, b) pairs against one fixed plaintext.
 
-    The plaintext alphabet and initial state are computed once; each call
-    rebuilds the keystream for the candidate and scores it as `fitness` does,
-    against the full-width keystream XOR values.  The value sets are boolean
-    tables indexed by value: every byte ^ rank lies below
-    2**max(8, bit_length(n - 1)), the table width.  The intersection and
-    union are the integers jaccard_index counts, in its float expression.
+    The plaintext alphabet and initial state are computed once; `score`
+    rebuilds the keystream for a candidate and `score_key` scores a key array
+    as `fitness` does, against the full-width keystream XOR values.  The
+    value sets are boolean tables indexed by value: every byte ^ rank lies
+    below 2**max(8, bit_length(n - 1)), the table width.  The intersection
+    and union are the integers jaccard_index counts, in its float expression.
     """
 
     def __init__(self, plaintext):
         data = bytes(plaintext)
-        self._initial = derive_initial_state(data)
+        self.initial = derive_initial_state(data)
         self._bytes = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
         self.n = len(data)
         self._alphabet = np.zeros(1 << max(8, (self.n - 1).bit_length()), dtype=bool)
@@ -123,9 +123,12 @@ class FitnessEvaluator:
         self._alphabet_size = int(np.count_nonzero(self._alphabet))
 
     def score(self, params: MapParams) -> float:
-        ks = build_keystream(params, self._initial, self.n)
+        return self.score_key(build_keystream(params, self.initial, self.n).key)
+
+    def score_key(self, key: np.ndarray) -> float:
+        """Fitness of the n-value key array K of a keystream (K[i] < n)."""
         seen = np.zeros(self._alphabet.size, dtype=bool)
-        seen[self._bytes ^ ks.key] = True
+        seen[self._bytes ^ key] = True
         inter = int(np.count_nonzero(seen & self._alphabet))
         union = self._alphabet_size + int(np.count_nonzero(seen)) - inter
         return 100.0 - 100.0 * inter / union

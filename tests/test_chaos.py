@@ -2,8 +2,10 @@ import hashlib
 import math
 import random
 import struct
+import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from chaocrypt import (
@@ -11,9 +13,11 @@ from chaocrypt import (
     MapParams,
     MapState,
     NumericalError,
+    chaos,
     derive_initial_state,
     generate_sequence,
 )
+from chaocrypt.chaos import ORBIT_MIN_LANES, orbits
 
 
 def test_derive_initial_state_uniform_bytes():
@@ -226,3 +230,81 @@ def test_orbit_leaving_the_finite_doubles_raises(params, state, transient):
         generate_sequence(params, state, 1, transient)
     with pytest.raises(NumericalError):
         generate_sequence(params, state, 5, transient)
+
+
+def _lanes(a, b, initial, n, transient):
+    """Every row orbits yields, stacked, and the number of blocks."""
+    blocks = list(orbits(a, b, initial, n, transient))
+    xs = np.concatenate([block for block, _ in blocks])
+    ys = np.concatenate([block for _, block in blocks])
+    return xs, ys, len(blocks)
+
+
+@pytest.mark.parametrize("transient", [0, 3])
+@pytest.mark.parametrize(
+    "lanes, n, blocks",
+    [
+        (1, 40, 1),
+        (ORBIT_MIN_LANES - 1, 40, 1),  # below the lane floor: stepped lane by lane
+        (ORBIT_MIN_LANES, 40, 1),
+        (300, 1000, 3),  # more lanes than ORBIT_BLOCK_BYTES holds at n = 1000
+    ],
+)
+@pytest.mark.parametrize("numpy_sin_matches", [True, False])
+def test_orbits_match_generate_sequence_lane_by_lane(monkeypatch, lanes, n, blocks, transient, numpy_sin_matches):
+    if not numpy_sin_matches:  # the fallback where numpy's sin is not libm's
+        monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
+    rng = random.Random(lanes)
+    a = [rng.uniform(1.0, 4.0) for _ in range(lanes)]
+    b = [rng.uniform(0.0, 4.0) for _ in range(lanes)]
+    # In lane 0 every x + b + a*sin(2*pi*y) is about -1e-20, whose % 1.0
+    # rounds to 1.0, so each of its x values is set by the >= 1.0 fix-up.
+    a[0], b[0] = 2e-20, 0.0
+    initial = MapState(1e-20, 0.75)
+    xs, ys, count = _lanes(a, b, initial, n, transient)
+    assert count == blocks
+    assert xs.shape == ys.shape == (lanes, n)
+    for k in range(lanes):
+        want_x, want_y = generate_sequence(MapParams(a[k], b[k]), initial, n, transient)
+        assert xs[k].tobytes() == np.array(want_x).tobytes()
+        assert ys[k].tobytes() == np.array(want_y).tobytes()
+
+
+def test_orbits_step_lanes_together_only_in_blocks_at_the_lane_floor(monkeypatch):
+    numpy_path = chaos._numpy_sin_matches_libm()  # probed before the count starts
+    calls = []
+    real = chaos.generate_sequence
+    monkeypatch.setattr(chaos, "generate_sequence", lambda *args: calls.append(args) or real(*args))
+    _lanes([2.5] * ORBIT_MIN_LANES, 1.5, MapState(0.1, 0.1), 10, 0)
+    assert len(calls) == (0 if numpy_path else ORBIT_MIN_LANES)
+    calls.clear()
+    _lanes([2.5] * (ORBIT_MIN_LANES - 1), 1.5, MapState(0.1, 0.1), 10, 0)
+    assert len(calls) == ORBIT_MIN_LANES - 1
+
+
+@pytest.mark.parametrize(
+    "params, state",
+    [
+        (MapParams(2.5, 1.5), MapState(0.1, 1e308)),
+        (MapParams(1.7e308, 1.7e308), MapState(0.1, 0.1)),
+        (MapParams(-1.7e308, 0.0), MapState(0.999, 2.8e307)),
+    ],
+)
+@pytest.mark.parametrize("transient", [0, 3])
+def test_orbits_with_a_divergent_lane_raise_without_warnings(params, state, transient):
+    a = [2.5] * ORBIT_MIN_LANES
+    b = [1.5] * ORBIT_MIN_LANES
+    a[7], b[7] = params.a, params.b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 5):
+            with pytest.raises(NumericalError, match="orbit left the finite doubles"):
+                _lanes(a, b, state, n, transient)
+
+
+def test_orbits_reject_bad_counts_as_generate_sequence_does():
+    for n, transient, message in [(0, 0, "sequence length must be >= 1"), (5, -1, "transient must be >= 0")]:
+        with pytest.raises(InvalidInput, match=message):
+            generate_sequence(MapParams(2.0, 2.0), MapState(0.1, 0.1), n, transient)
+        with pytest.raises(InvalidInput, match=message):
+            orbits([2.0] * ORBIT_MIN_LANES, 2.0, MapState(0.1, 0.1), n, transient)

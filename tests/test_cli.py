@@ -434,6 +434,21 @@ def test_encrypt_non_finite_threshold_exits_2_before_ga(tmp_path, capsys, monkey
              "--component", "a", "--epsilon", "1e-15", "--out", "OUT"],
             "--a",
         ),
+        # every GA flag on a --skip-ga encrypt, including values GaConfig rejects
+        *(
+            (["encrypt", "PLAIN", "--out", "OUT", "--key-out", "KEY", "--skip-ga", "--a", "2", "--b", "2",
+              flag, value], flag)
+            for flag, value in [
+                ("--population", "3"),
+                ("--elite-fraction", "0.5"),
+                ("--mutation-prob", "0.5"),
+                ("--mutation-step", "0.1"),
+                ("--threshold", "90"),
+                ("--quorum", "0.5"),
+                ("--max-generations", "0"),
+                ("--seed", "5"),
+            ]
+        ),
     ],
 )
 def test_option_the_mode_does_not_use_exits_2_before_reading_input(tmp_path, capsys, monkeypatch, argv, option):
@@ -451,6 +466,43 @@ def test_option_the_mode_does_not_use_exits_2_before_reading_input(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+
+def test_ga_flags_left_out_take_ga_config_defaults():
+    from chaocrypt import GaConfig, cli
+
+    args = cli._build_parser().parse_args(["analyze", "lengths", "--out", "o.csv", "--seed", "7"])
+    assert cli._ga_config(args) == GaConfig(rng_seed=7)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["landscape", "--plaintext", "PLAIN", "--grid-a", "2", "--grid-b", "2"],
+        ["bifurcation", "--param", "a", "--fixed", "2", "--range", "1:4"],
+        ["lyapunov", "--a", "2", "--b", "1"],
+        ["lengths", "--lengths", "10"],
+        ["sensitivity", "--plaintext", "PLAIN", "--a", "2.5", "--b", "1.5", "--component", "a",
+         "--epsilon", "1e-15"],
+    ],
+)
+def test_analyze_out_in_missing_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    from chaocrypt import analysis
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the analysis ran before --out was checked")
+
+    for name in ("fitness_landscape", "bifurcation_sweep", "lyapunov_spectrum", "length_experiment",
+                 "sensitivity_probe"):
+        monkeypatch.setattr(analysis, name, boom)
+    plain, missing = tmp_path / "p", tmp_path / "nope" / "o.csv"
+    plain.write_bytes(b"a short message")
+    rc = main(["analyze", *(str(plain) if a == "PLAIN" else a for a in argv), "--out", str(missing)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
 
 
 def test_console_entry_point():
