@@ -85,11 +85,12 @@ class LengthTrialResult:
     terminated_by: str
 
 
-def bifurcation_sweep(spec: SweepSpec) -> np.ndarray:
+def bifurcation_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     """Asymptotic x-values against the swept parameter.
 
-    Returns a (steps * (iterations - transient)) x 2 array; column 0 is the
-    parameter value, column 1 the post-transient x-value.
+    Returns (values, xs): the `steps` swept parameter values, and xs of shape
+    (steps, iterations - transient), row i the post-transient x-values at
+    values[i].
     """
     values = np.linspace(spec.range_low, spec.range_high, spec.steps)
     m = spec.iterations - spec.transient
@@ -98,7 +99,7 @@ def bifurcation_sweep(spec: SweepSpec) -> np.ndarray:
     else:
         a, b = spec.fixed_value, values
     xs = np.concatenate([block for block, _ in orbits(a, b, spec.initial_state, m, spec.transient)])
-    return np.column_stack((np.repeat(values, m), xs.ravel()))
+    return values, xs
 
 
 def bin_coverage(xs, bins: int = 100) -> float:

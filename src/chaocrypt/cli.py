@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -49,14 +50,6 @@ def _parse_range(text: str, parts: int):
 
 def _read_bytes(path) -> bytes:
     return Path(path).read_bytes()
-
-
-def _check_output_path(path) -> None:
-    path = Path(path)
-    if not path.parent.is_dir():
-        raise InvalidInput(f"{path}: directory {str(path.parent)!r} does not exist")
-    if path.is_dir():
-        raise InvalidInput(f"{path}: is a directory")
 
 
 def _write_atomic(path, write) -> None:
@@ -107,11 +100,6 @@ def cmd_encrypt(args) -> int:
                 raise InvalidInput(f"{flag} cannot be used with --skip-ga")
     elif args.a is not None or args.b is not None:
         raise InvalidInput("--a and --b are used only with --skip-ga")
-    for path in (args.out, args.key_out, args.report):
-        if path is not None:
-            _check_output_path(path)
-    if Path(args.out).resolve() == Path(args.key_out).resolve():
-        raise InvalidInput(f"--out and --key-out are the same file: {args.out}")
     plaintext = _read_bytes(args.plaintext)
     if len(plaintext) == 0:
         raise InvalidInput(f"plaintext file is empty: {args.plaintext}")
@@ -161,7 +149,6 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_analyze_bifurcation(args) -> int:
-    _check_output_path(args.out)
     low, high = _parse_range(args.range, 2)
     spec = analysis.SweepSpec(
         swept_parameter=args.param,
@@ -173,11 +160,8 @@ def cmd_analyze_bifurcation(args) -> int:
         transient=args.transient,
         initial_state=MapState(args.x0, args.y0),
     )
-    table = analysis.bifurcation_sweep(spec)
-    m = spec.iterations - spec.transient
-    coverages = [
-        analysis.bin_coverage(table[i * m : (i + 1) * m, 1]) for i in range(spec.steps)
-    ]
+    values, xs = analysis.bifurcation_sweep(spec)
+    coverages = [analysis.bin_coverage(row) for row in xs]
     comment = (
         f"swept={spec.swept_parameter} fixed={_fmt(spec.fixed_value)} "
         f"x0={_fmt(spec.initial_state.x)} y0={_fmt(spec.initial_state.y)} "
@@ -186,18 +170,16 @@ def cmd_analyze_bifurcation(args) -> int:
     _write_csv(
         args.out,
         (spec.swept_parameter, "x"),
-        ((_fmt(p), _fmt(x)) for p, x in table.tolist()),
+        ((p, _fmt(x)) for p, row in zip(map(_fmt, values.tolist()), xs.tolist()) for x in row),
         comment=comment,
     )
-    print(f"rows: {table.shape[0]}")
+    print(f"rows: {xs.size}")
     print(f"min bin coverage: {min(coverages):.2f}")
     print(f"mean bin coverage: {sum(coverages) / len(coverages):.4f}")
     return 0
 
 
 def cmd_analyze_lyapunov(args) -> int:
-    if args.out:
-        _check_output_path(args.out)
     result = analysis.lyapunov_spectrum(
         MapParams(args.a, args.b),
         MapState(args.x0, args.y0),
@@ -227,7 +209,6 @@ def cmd_analyze_lyapunov(args) -> int:
 
 
 def cmd_analyze_landscape(args) -> int:
-    _check_output_path(args.out)
     plaintext = _read_bytes(args.plaintext)
     a_range = _parse_range(args.a_range, 2)
     b_range = _parse_range(args.b_range, 2)
@@ -242,7 +223,6 @@ def cmd_analyze_landscape(args) -> int:
 
 
 def cmd_analyze_lengths(args) -> int:
-    _check_output_path(args.out)
     try:
         lengths = [int(p) for p in args.lengths.split(",") if p]
     except ValueError:
@@ -266,8 +246,6 @@ def cmd_analyze_lengths(args) -> int:
 def cmd_analyze_sensitivity(args) -> int:
     if args.key and (args.a is not None or args.b is not None):
         raise InvalidInput("--a and --b cannot be used with --key")
-    if args.out:
-        _check_output_path(args.out)
     plaintext = _read_bytes(args.plaintext)
     if args.key:
         key = read_key_file(args.key)
@@ -298,6 +276,7 @@ def cmd_keyspace(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaocrypt",
@@ -314,13 +293,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, help="map parameter a (with --skip-ga)")
     p.add_argument("--b", type=float, help="map parameter b (with --skip-ga)")
     _add_ga_flags(p)
-    p.set_defaults(func=cmd_encrypt)
+    p.set_defaults(func=cmd_encrypt, outputs=("out", "key_out", "report"))
 
     p = sub.add_parser("decrypt", help="decrypt a file with a key file")
     p.add_argument("ciphertext", help="input file")
     p.add_argument("--key", required=True, help="key file path")
     p.add_argument("--out", required=True, help="plaintext output path")
-    p.set_defaults(func=cmd_decrypt)
+    p.set_defaults(func=cmd_decrypt, outputs=("out",))
 
     an = sub.add_parser("analyze", help="chaos diagnostics and experiments")
     ansub = an.add_subparsers(dest="subcommand", required=True)
@@ -335,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=analysis.DEFAULT_SWEEP_STATE.x)
     p.add_argument("--y0", type=float, default=analysis.DEFAULT_SWEEP_STATE.y)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_analyze_bifurcation)
+    p.set_defaults(func=cmd_analyze_bifurcation, outputs=("out",))
 
     p = ansub.add_parser("lyapunov", help="two-exponent Lyapunov spectrum")
     p.add_argument("--a", type=float, required=True)
@@ -345,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2500)
     p.add_argument("--transient", type=int, default=500)
     p.add_argument("--out", help="optional CSV output path")
-    p.set_defaults(func=cmd_analyze_lyapunov)
+    p.set_defaults(func=cmd_analyze_lyapunov, outputs=("out",))
 
     p = ansub.add_parser("landscape", help="fitness over an (a, b) grid")
     p.add_argument("--plaintext", required=True)
@@ -354,14 +333,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-a", type=int, default=50)
     p.add_argument("--grid-b", type=int, default=50)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_analyze_landscape)
+    p.set_defaults(func=cmd_analyze_landscape, outputs=("out",))
 
     p = ansub.add_parser("lengths", help="plaintext-length experiment")
     p.add_argument("--lengths", default="10,50,100,300,700,1000", help="comma-separated")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     _add_ga_flags(p)
-    p.set_defaults(func=cmd_analyze_lengths)
+    p.set_defaults(func=cmd_analyze_lengths, outputs=("out",))
 
     p = ansub.add_parser("sensitivity", help="key perturbation probe")
     p.add_argument("--plaintext", required=True)
@@ -371,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", choices=analysis.KEY_COMPONENTS, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--out", help="optional CSV output path")
-    p.set_defaults(func=cmd_analyze_sensitivity)
+    p.set_defaults(func=cmd_analyze_sensitivity, outputs=("out",))
 
     p = sub.add_parser("keyspace", help="key space size arithmetic")
     p.add_argument(
@@ -379,18 +358,36 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help="LOW:HIGH:PRECISION, repeatable; defaults to the key component ranges",
     )
-    p.set_defaults(func=cmd_keyspace)
+    p.set_defaults(func=cmd_keyspace, outputs=())
 
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Reject an output whose directory is missing, that is a directory, or
+    that names the same file as another output, before any input is read."""
+    seen = {}
+    for dest in args.outputs:
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        path, flag = Path(path), "--" + dest.replace("_", "-")
+        if not path.parent.is_dir():
+            raise InvalidInput(f"{path}: directory {str(path.parent)!r} does not exist")
+        if path.is_dir():
+            raise InvalidInput(f"{path}: is a directory")
+        first = seen.setdefault(path.resolve(), flag)
+        if first != flag:
+            raise InvalidInput(f"{first} and {flag} are the same file: {path}")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_outputs(args)
         return args.func(args)
     except (InvalidInput, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

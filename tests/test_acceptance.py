@@ -145,10 +145,9 @@ def test_c06_bifurcation_density():
         SweepSpec("a", 2.0, 1.0, 4.0, steps=100, iterations=2500, transient=500),
         SweepSpec("b", 2.0, 0.0, 4.0, steps=100, iterations=2500, transient=500),
     ):
-        table = bifurcation_sweep(spec)
-        m = spec.iterations - spec.transient
-        for i in range(spec.steps):
-            worst = min(worst, bin_coverage(table[i * m : (i + 1) * m, 1]))
+        _, xs = bifurcation_sweep(spec)
+        for row in xs:
+            worst = min(worst, bin_coverage(row))
     elapsed = time.perf_counter() - t0
     ok = worst >= 0.95 and elapsed < 60.0
     _report("06", ok, f"worst bin coverage {worst:.2f} (>= 0.95) in {elapsed:.1f}s (< 60s)")

@@ -28,17 +28,16 @@ from chaocrypt.chaos import ORBIT_MIN_LANES
 
 def test_bifurcation_row_count():
     spec = SweepSpec("a", 2.0, 1.0, 4.0, steps=100, iterations=600, transient=500)
-    table = bifurcation_sweep(spec)
-    assert table.shape == (100 * 100, 2)
-    assert np.all(table[:, 1] >= 0.0) and np.all(table[:, 1] < 1.0)
+    values, xs = bifurcation_sweep(spec)
+    assert values.shape == (100,) and xs.shape == (100, 100)
+    assert np.all(xs >= 0.0) and np.all(xs < 1.0)
 
 
 def test_bifurcation_sweep_over_a_is_dense():
     spec = SweepSpec("a", 2.0, 1.0, 4.0, steps=100, iterations=1500, transient=500)
-    table = bifurcation_sweep(spec)
-    m = spec.iterations - spec.transient
-    for i in range(spec.steps):
-        assert bin_coverage(table[i * m : (i + 1) * m, 1]) >= 0.95
+    _, xs = bifurcation_sweep(spec)
+    for row in xs:
+        assert bin_coverage(row) >= 0.95
 
 
 def test_bifurcation_sweep_over_b_is_dense():
@@ -46,10 +45,9 @@ def test_bifurcation_sweep_over_b_is_dense():
     # is a narrow periodic window at exactly (a=2, b=2.5) that 100-point
     # grids over (0, 4) straddle.
     spec = SweepSpec("b", 2.0, 0.0, 4.0, steps=100, iterations=1500, transient=500)
-    table = bifurcation_sweep(spec)
-    m = spec.iterations - spec.transient
-    for i in range(spec.steps):
-        assert bin_coverage(table[i * m : (i + 1) * m, 1]) >= 0.95
+    _, xs = bifurcation_sweep(spec)
+    for row in xs:
+        assert bin_coverage(row) >= 0.95
 
 
 def test_bifurcation_rejects_bad_specs():

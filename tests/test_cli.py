@@ -221,11 +221,39 @@ def test_encrypt_key_out_in_missing_directory_leaves_no_ciphertext(tmp_path, cap
     assert not cipher.exists()
 
 
-def test_encrypt_rejects_out_equal_to_key_out(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "same_as",
+    [("--out", "--key-out"), ("--out", "--report"), ("--key-out", "--report")],
+    ids=["out-key_out", "out-report", "key_out-report"],
+)
+def test_encrypt_rejects_out_equal_to_key_out(tmp_path, capsys, monkeypatch, same_as):
     _evolve_must_not_run(monkeypatch)
     same = tmp_path / "both"
-    assert main(_ga_encrypt_argv(tmp_path, same, same)) == 2
-    assert not same.exists()
+    paths = {flag: str(same if flag in same_as else tmp_path / flag.strip("-"))
+             for flag in ("--out", "--key-out", "--report")}
+    argv = _ga_encrypt_argv(tmp_path, paths["--out"], paths["--key-out"])
+    assert main([*argv, "--report", paths["--report"], "--max-generations", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {same_as[0]} and {same_as[1]} are the same file: {same}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
+
+
+def test_decrypt_out_in_missing_directory_exits_2_before_decrypting(tmp_path, capsys, monkeypatch):
+    from chaocrypt import cli
+
+    cipher, keyfile = _skip_ga_encrypt(tmp_path, b"a message that must not be decrypted")
+    capsys.readouterr()
+
+    def boom(*args):
+        raise AssertionError("decrypt ran before --out was checked")
+
+    monkeypatch.setattr(cli, "cipher_decrypt", boom)
+    missing = tmp_path / "nope" / "o"
+    assert main(["decrypt", str(cipher), "--key", str(keyfile), "--out", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {missing}: directory {str(missing.parent)!r} does not exist\n"
+    assert not missing.parent.exists()
 
 
 def test_encrypt_writes_key_before_ciphertext_and_leaves_no_temp_files(tmp_path, capsys, monkeypatch):
@@ -471,8 +499,12 @@ def test_option_the_mode_does_not_use_exits_2_before_reading_input(tmp_path, cap
 def test_ga_flags_left_out_take_ga_config_defaults():
     from chaocrypt import GaConfig, cli
 
-    args = cli._build_parser().parse_args(["analyze", "lengths", "--out", "o.csv", "--seed", "7"])
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    args = parser.parse_args(["analyze", "lengths", "--out", "o.csv", "--seed", "7"])
     assert cli._ga_config(args) == GaConfig(rng_seed=7)
+    args = parser.parse_args(["analyze", "lengths", "--out", "o.csv"])
+    assert cli._ga_config(args) == GaConfig()
 
 
 @pytest.mark.parametrize(
