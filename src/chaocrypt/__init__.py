@@ -27,7 +27,6 @@ from .chaos import (
 )
 from .cipher import (
     KeyRecord,
-    RankKeystream,
     build_keystream,
     compose_key,
     decrypt,

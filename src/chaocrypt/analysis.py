@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, generate_sequence, orbits
-from .cipher import KeyRecord, decrypt, keystream_from_orbit
+from .cipher import KEY_FIELDS, KeyRecord, decrypt, keystream_from_orbit
 from .errors import InvalidInput, NumericalError
 from .ga import FitnessEvaluator, GaConfig, evolve
 
@@ -23,8 +23,6 @@ from .ga import FitnessEvaluator, GaConfig, evolve
 # it beyond being in the basin; it is echoed into CSV headers so runs can be
 # reproduced.
 DEFAULT_SWEEP_STATE = MapState(0.1, 0.1)
-
-KEY_COMPONENTS = ("a", "b", "x0", "y0")
 
 # (low, high, precision) per key component: a, b at 1e-15, x0, y0 at 1e-16.
 DEFAULT_KEYSPACE_RANGES = (
@@ -184,7 +182,7 @@ def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> 
     a = np.repeat(np.linspace(a_low, a_high, grid_a), grid_b)
     b = np.tile(np.linspace(b_low, b_high, grid_b), grid_a)
     scores = [
-        evaluator.score_key(keystream_from_orbit(x, y).key)
+        evaluator.score_key(keystream_from_orbit(x, y))
         for xs, ys in orbits(a, b, evaluator.initial, evaluator.n)
         for x, y in zip(xs, ys)
     ]
@@ -272,8 +270,8 @@ def sensitivity_probe(plaintext, key: KeyRecord, component: str, epsilon: float)
     Encrypts with `key` as-is, adds epsilon to the chosen component, decrypts
     with the perturbed key, and compares against the original plaintext.
     """
-    if component not in KEY_COMPONENTS:
-        raise InvalidInput(f"component must be one of {KEY_COMPONENTS}")
+    if component not in KEY_FIELDS:
+        raise InvalidInput(f"component must be one of {KEY_FIELDS}")
     if not (epsilon >= 0.0):
         raise InvalidInput("epsilon must be >= 0")
     data = bytes(plaintext)

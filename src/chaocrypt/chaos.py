@@ -177,36 +177,18 @@ def _orbit_blocks(a, b, initial, n, transient):
 def _step_lanes(a, b, initial, n, transient):
     """generate_sequence's loop over the lanes of a and b at once.  Row i of
     the (n, lanes) buffers is step i; the caller gets them transposed."""
-    lanes = a.size
-    xs = np.empty((n, lanes))
-    ys = np.empty((n, lanes))
-    x, y = np.full(lanes, initial.x), np.full(lanes, initial.y)
-    s, t = np.empty(lanes), np.empty(lanes)
-    wrapped = np.empty(lanes, dtype=bool)
+    xs = np.empty((n, a.size))
+    ys = np.empty((n, a.size))
+    x, y = np.full(a.size, initial.x), np.full(a.size, initial.y)
     # A lane that leaves the finite doubles turns NaN or infinite and stays
     # so (np.sin(inf) is NaN where math.sin raises); the final check finds it.
     with np.errstate(all="ignore"):
         for i in range(-transient, n):
-            # Transient steps overwrite x and y: each is read for the last
-            # time before its new value is stored.  The last argument of each
-            # ufunc is its output.
-            new_x, new_y = (xs[i], ys[i]) if i >= 0 else (x, y)
-            # t = x + b + a * sin(two_pi * y)
-            np.multiply(TWO_PI, y, s)
-            np.sin(s, s)
-            np.multiply(a, s, s)
-            np.add(x, b, t)
-            np.add(t, s, t)
-            # y' = 1.0 - a * x * x + y
-            np.multiply(a, x, s)
-            np.multiply(s, x, s)
-            np.subtract(1.0, s, s)
-            np.add(s, y, new_y)
-            # x' = t % 1.0, then the >= 1.0 fix-up
-            np.remainder(t, 1.0, new_x)
-            np.greater_equal(new_x, 1.0, wrapped)
-            new_x[wrapped] = 0.0
-            x, y = new_x, new_y
+            x, y = (x + b + a * np.sin(TWO_PI * y)) % 1.0, 1.0 - a * x * x + y
+            x[x >= 1.0] = 0.0
+            if i >= 0:
+                xs[i] = x
+                ys[i] = y
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NumericalError("orbit left the finite doubles")
     return xs.T, ys.T

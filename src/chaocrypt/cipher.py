@@ -17,7 +17,7 @@ constructed, so encrypt, decrypt and write_key_file never check it again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,15 +32,6 @@ from .chaos import (
     generate_sequence,
 )
 from .errors import InvalidInput
-
-
-@dataclass(frozen=True)
-class RankKeystream:
-    """Rank arrays of the two orbit sequences and their composition."""
-
-    s_x: np.ndarray
-    s_y: np.ndarray
-    key: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,6 +58,10 @@ class KeyRecord:
             raise InvalidInput(f"x0={self.x0!r} outside (0, 1]")
         if not math.isfinite(self.y0):
             raise InvalidInput("y0 must be finite")
+
+
+# KeyRecord's field names in declaration order: the key file's field order.
+KEY_FIELDS = tuple(f.name for f in fields(KeyRecord))
 
 
 def rank_descending(values) -> np.ndarray:
@@ -125,17 +120,15 @@ def xor_apply(data, key) -> bytes:
     return (d ^ (k & 0xFF).astype(np.uint8)).tobytes()
 
 
-def keystream_from_orbit(xs, ys) -> RankKeystream:
-    """The rank keystream of one orbit's x and y sequences."""
-    s_x = rank_descending(xs)
-    s_y = rank_descending(ys)
+def keystream_from_orbit(xs, ys) -> np.ndarray:
+    """The key array K = S_y[S_x] of one orbit's x and y sequences."""
     # Ranks are permutations by construction; compose_key's checks are for
     # arrays from outside the package.
-    return RankKeystream(s_x=s_x, s_y=s_y, key=s_y[s_x])
+    return rank_descending(ys)[rank_descending(xs)]
 
 
-def build_keystream(params: MapParams, initial: MapState, n: int) -> RankKeystream:
-    """Generate the orbit and assemble the rank keystream for n bytes."""
+def build_keystream(params: MapParams, initial: MapState, n: int) -> np.ndarray:
+    """Generate the orbit and return its n-value key array K."""
     return keystream_from_orbit(*generate_sequence(params, initial, n))
 
 
@@ -146,8 +139,7 @@ def encrypt(plaintext, params: MapParams) -> tuple[bytes, KeyRecord]:
     # Built before the keystream, so (a, b) outside the key ranges fails
     # before any orbit work.
     record = KeyRecord(a=params.a, b=params.b, x0=initial.x, y0=initial.y)
-    ks = build_keystream(params, initial, len(data))
-    return xor_apply(data, ks.key), record
+    return xor_apply(data, build_keystream(params, initial, len(data))), record
 
 
 def decrypt(ciphertext, key: KeyRecord) -> bytes:
@@ -155,5 +147,4 @@ def decrypt(ciphertext, key: KeyRecord) -> bytes:
     data = bytes(ciphertext)
     if len(data) == 0:
         raise InvalidInput("ciphertext must be non-empty")
-    ks = build_keystream(MapParams(key.a, key.b), MapState(key.x0, key.y0), len(data))
-    return xor_apply(data, ks.key)
+    return xor_apply(data, build_keystream(MapParams(key.a, key.b), MapState(key.x0, key.y0), len(data)))

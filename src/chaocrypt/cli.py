@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import analysis, ga
 from .chaos import MapParams, MapState, derive_initial_state
-from .cipher import KeyRecord, encrypt
+from .cipher import KEY_FIELDS, KeyRecord, encrypt
 from .cipher import decrypt as cipher_decrypt
 from .errors import FormatError, InvalidInput, NumericalError
 from .keyfile import read_key_file, write_key_file
@@ -293,13 +293,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, help="map parameter a (with --skip-ga)")
     p.add_argument("--b", type=float, help="map parameter b (with --skip-ga)")
     _add_ga_flags(p)
-    p.set_defaults(func=cmd_encrypt, outputs=("out", "key_out", "report"))
+    p.set_defaults(func=cmd_encrypt, inputs=("plaintext",), outputs=("out", "key_out", "report"))
 
     p = sub.add_parser("decrypt", help="decrypt a file with a key file")
     p.add_argument("ciphertext", help="input file")
     p.add_argument("--key", required=True, help="key file path")
     p.add_argument("--out", required=True, help="plaintext output path")
-    p.set_defaults(func=cmd_decrypt, outputs=("out",))
+    p.set_defaults(func=cmd_decrypt, inputs=("ciphertext", "--key"), outputs=("out",))
 
     an = sub.add_parser("analyze", help="chaos diagnostics and experiments")
     ansub = an.add_subparsers(dest="subcommand", required=True)
@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=analysis.DEFAULT_SWEEP_STATE.x)
     p.add_argument("--y0", type=float, default=analysis.DEFAULT_SWEEP_STATE.y)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_analyze_bifurcation, outputs=("out",))
+    p.set_defaults(func=cmd_analyze_bifurcation, inputs=(), outputs=("out",))
 
     p = ansub.add_parser("lyapunov", help="two-exponent Lyapunov spectrum")
     p.add_argument("--a", type=float, required=True)
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2500)
     p.add_argument("--transient", type=int, default=500)
     p.add_argument("--out", help="optional CSV output path")
-    p.set_defaults(func=cmd_analyze_lyapunov, outputs=("out",))
+    p.set_defaults(func=cmd_analyze_lyapunov, inputs=(), outputs=("out",))
 
     p = ansub.add_parser("landscape", help="fitness over an (a, b) grid")
     p.add_argument("--plaintext", required=True)
@@ -333,24 +333,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-a", type=int, default=50)
     p.add_argument("--grid-b", type=int, default=50)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_analyze_landscape, outputs=("out",))
+    p.set_defaults(func=cmd_analyze_landscape, inputs=("--plaintext",), outputs=("out",))
 
     p = ansub.add_parser("lengths", help="plaintext-length experiment")
     p.add_argument("--lengths", default="10,50,100,300,700,1000", help="comma-separated")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     _add_ga_flags(p)
-    p.set_defaults(func=cmd_analyze_lengths, outputs=("out",))
+    p.set_defaults(func=cmd_analyze_lengths, inputs=(), outputs=("out",))
 
     p = ansub.add_parser("sensitivity", help="key perturbation probe")
     p.add_argument("--plaintext", required=True)
     p.add_argument("--key", help="key file (otherwise give --a/--b)")
     p.add_argument("--a", type=float)
     p.add_argument("--b", type=float)
-    p.add_argument("--component", choices=analysis.KEY_COMPONENTS, required=True)
+    p.add_argument("--component", choices=KEY_FIELDS, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--out", help="optional CSV output path")
-    p.set_defaults(func=cmd_analyze_sensitivity, outputs=("out",))
+    p.set_defaults(func=cmd_analyze_sensitivity, inputs=("--plaintext", "--key"), outputs=("out",))
 
     p = sub.add_parser("keyspace", help="key space size arithmetic")
     p.add_argument(
@@ -358,15 +358,32 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help="LOW:HIGH:PRECISION, repeatable; defaults to the key component ranges",
     )
-    p.set_defaults(func=cmd_keyspace, outputs=())
+    p.set_defaults(func=cmd_keyspace, inputs=(), outputs=())
 
     return parser
 
 
+def _file_id(path):
+    """What names the file at path: its device and inode where it exists, so
+    links to it match, else its real path.  realpath, unlike Path.resolve,
+    returns a symlink loop instead of raising."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_outputs(args) -> None:
     """Reject an output whose directory is missing, that is a directory, or
-    that names the same file as another output, before any input is read."""
-    seen = {}
+    that names the same file as an input or another output, before any input
+    is read.  Inputs are named as on the command line: a positional's name or
+    an option's flag."""
+    seen = {}  # file id -> the input or output flag that named it first
+    for name in args.inputs:
+        path = getattr(args, name.lstrip("-"))
+        if path is not None:
+            seen[_file_id(path)] = name
     for dest in args.outputs:
         path = getattr(args, dest)
         if path is None:
@@ -376,7 +393,7 @@ def _check_outputs(args) -> None:
             raise InvalidInput(f"{path}: directory {str(path.parent)!r} does not exist")
         if path.is_dir():
             raise InvalidInput(f"{path}: is a directory")
-        first = seen.setdefault(path.resolve(), flag)
+        first = seen.setdefault(_file_id(path), flag)
         if first != flag:
             raise InvalidInput(f"{first} and {flag} are the same file: {path}")
 
@@ -391,6 +408,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidInput, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the request needs more memory than this machine has", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -123,7 +123,7 @@ class FitnessEvaluator:
         self._alphabet_size = int(np.count_nonzero(self._alphabet))
 
     def score(self, params: MapParams) -> float:
-        return self.score_key(build_keystream(params, self.initial, self.n).key)
+        return self.score_key(build_keystream(params, self.initial, self.n))
 
     def score_key(self, key: np.ndarray) -> float:
         """Fitness of the n-value key array K of a keystream (K[i] < n)."""

@@ -15,12 +15,10 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
-from .cipher import KeyRecord
+from .cipher import KEY_FIELDS, KeyRecord
 from .errors import FormatError, InvalidInput
 
 FORMAT_VERSION = 1
-
-_FIELDS = ("a", "b", "x0", "y0")
 
 
 def float_to_hex(v: float) -> str:
@@ -37,7 +35,7 @@ def hex_to_float(s: str) -> float:
 
 def write_key_file(key: KeyRecord, path) -> None:
     lines = [f"version = {FORMAT_VERSION}"]
-    for name in _FIELDS:
+    for name in KEY_FIELDS:
         v = float(getattr(key, name))
         lines.append(f"{name}.dec = {v:.17g}")
         lines.append(f"{name}.hex = {float_to_hex(v)}")
@@ -67,7 +65,7 @@ def read_key_file(path) -> KeyRecord:
         raise FormatError(f"unsupported key file version {version!r}")
 
     values: dict[str, float] = {}
-    for name in _FIELDS:
+    for name in KEY_FIELDS:
         hex_field, dec_field = f"{name}.hex", f"{name}.dec"
         for field in (hex_field, dec_field):
             if field not in fields:

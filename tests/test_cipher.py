@@ -14,6 +14,7 @@ from chaocrypt import (
     compose_key,
     decrypt,
     encrypt,
+    generate_sequence,
     rank_descending,
     sample_text,
     xor_apply,
@@ -265,9 +266,13 @@ def test_keystream_permutation_invariants():
         n = rng.randrange(1, 700)
         params = MapParams(rng.uniform(1, 4), rng.uniform(0.1, 4))
         initial = MapState(1.0 / n, 1.0 - 1.0 / n)
-        ks = build_keystream(params, initial, n)
+        xs, ys = generate_sequence(params, initial, n)
+        s_x, s_y = rank_descending(xs), rank_descending(ys)
+        key = build_keystream(params, initial, n)
+        assert key.dtype == np.int64
         expect = list(range(n))
-        assert sorted(ks.s_x.tolist()) == expect
-        assert sorted(ks.s_y.tolist()) == expect
-        assert sorted(ks.key.tolist()) == expect
-        assert ks.key.tolist() == [ks.s_y[i] for i in ks.s_x]
+        assert sorted(s_x.tolist()) == expect
+        assert sorted(s_y.tolist()) == expect
+        assert sorted(key.tolist()) == expect
+        assert key.tolist() == [s_y[i] for i in s_x]
+        assert key.tolist() == compose_key(s_x, s_y).tolist()

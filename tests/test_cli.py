@@ -238,6 +238,97 @@ def test_encrypt_rejects_out_equal_to_key_out(tmp_path, capsys, monkeypatch, sam
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
 
 
+# Per command, an argv whose every file is named after the input or output
+# flag that takes it: "--key-out key_out", positional "plaintext".
+_FILE_ARGV = {
+    "encrypt": ["encrypt", "plaintext", "--out", "out", "--key-out", "key_out", "--report", "report"],
+    "decrypt": ["decrypt", "ciphertext", "--key", "key", "--out", "out"],
+    "landscape": ["analyze", "landscape", "--plaintext", "plaintext", "--grid-a", "2", "--grid-b", "2",
+                  "--out", "out"],
+    "sensitivity": ["analyze", "sensitivity", "--plaintext", "plaintext", "--key", "key", "--component", "a",
+                    "--epsilon", "0", "--out", "out"],
+}
+_INPUT_FILES = {"plaintext": b"a message", "ciphertext": b"\x01\x02\x03", "key": b"version = 1\n"}
+
+
+def _run_with_output_on_input(tmp_path, monkeypatch, argv):
+    """Run argv in tmp_path holding the input files; return main's exit code
+    and each file's bytes, which must be the input files unchanged."""
+    _evolve_must_not_run(monkeypatch)
+    for name, data in _INPUT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    return rc, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "command, input_, output",
+    [
+        ("encrypt", "plaintext", "--out"),
+        ("encrypt", "plaintext", "--key-out"),
+        ("encrypt", "plaintext", "--report"),
+        ("decrypt", "ciphertext", "--out"),
+        ("decrypt", "--key", "--out"),
+        ("landscape", "--plaintext", "--out"),
+        ("sensitivity", "--plaintext", "--out"),
+        ("sensitivity", "--key", "--out"),
+    ],
+)
+def test_output_naming_an_input_file_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, command, input_,
+                                                               output):
+    argv = list(_FILE_ARGV[command])
+    name = input_.lstrip("-")
+    argv[argv.index(output) + 1] = name
+    rc, files = _run_with_output_on_input(tmp_path, monkeypatch, argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {input_} and {output} are the same file: {name}\n"
+    assert files == _INPUT_FILES
+
+
+@pytest.mark.parametrize("link", ["symlink_to", "hardlink_to"])
+def test_output_naming_an_input_file_through_a_link_exits_2(tmp_path, capsys, monkeypatch, link):
+    (tmp_path / "plaintext").write_bytes(_INPUT_FILES["plaintext"])
+    getattr(tmp_path / "lp", link)(tmp_path / "plaintext")
+    argv = list(_FILE_ARGV["encrypt"])
+    argv[1], argv[argv.index("--report") + 1] = "lp", "plaintext"
+    rc, files = _run_with_output_on_input(tmp_path, monkeypatch, argv)
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: plaintext and --report are the same file: plaintext\n")
+    assert files == {**_INPUT_FILES, "lp": _INPUT_FILES["plaintext"]}
+
+
+def test_symlink_loop_as_input_or_output_exits_2(tmp_path, capsys):
+    cipher, keyfile = _skip_ga_encrypt(tmp_path, b"a message")
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    capsys.readouterr()
+    for argv in (["decrypt", str(loop), "--key", str(keyfile), "--out", str(tmp_path / "o")],
+                 ["decrypt", str(cipher), "--key", str(keyfile), "--out", str(loop)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_request_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    from chaocrypt import cli
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli.analysis, "fitness_landscape", out_of_memory)
+    plain, out = tmp_path / "p", tmp_path / "o.csv"
+    plain.write_bytes(b"a message")
+    argv = ["analyze", "landscape", "--plaintext", str(plain), "--grid-a", "1000000", "--grid-b", "1000000",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: the request needs more memory than this machine has\n")
+    assert not out.exists()
+
+
 def test_decrypt_out_in_missing_directory_exits_2_before_decrypting(tmp_path, capsys, monkeypatch):
     from chaocrypt import cli
 

@@ -105,7 +105,7 @@ def test_score_matches_jaccard_at_table_width_boundaries(n):
     evaluator = FitnessEvaluator(plaintext)
     for _ in range(5):
         params = MapParams(rng.uniform(1.0, 4.0), rng.uniform(0.1, 4.0))
-        key = build_keystream(params, derive_initial_state(plaintext), n).key.tolist()
+        key = build_keystream(params, derive_initial_state(plaintext), n).tolist()
         values = [p ^ k for p, k in zip(plaintext, key)]
         score = evaluator.score(params)
         assert type(score) is float
