@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import chaos
 from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, generate_sequence, orbits
 from .cipher import KEY_FIELDS, KeyRecord, decrypt, keystream_from_orbit
 from .errors import InvalidInput, NumericalError
@@ -132,32 +133,40 @@ def lyapunov_spectrum(
         raise InvalidInput("need iterations > transient >= 0")
     a = params.a
     xs, ys = generate_sequence(params, initial, iterations)
-    x, y = initial.x, initial.y
+    # The Jacobian of step i is taken at the point it starts from: the
+    # initial point, then the orbit.  Same operation order as the scalar
+    # TWO_PI * a * math.cos(TWO_PI * y) and -2.0 * a * x.
+    x = np.concatenate(([initial.x], np.asarray(xs)[:-1]))
+    y = np.concatenate(([initial.y], np.asarray(ys)[:-1]))
+    if chaos._numpy_sin_matches_libm():  # the probe that guards chaos.orbits
+        cos_2pi_y = np.cos(TWO_PI * y)
+    else:
+        cos_2pi_y = np.array([math.cos(v) for v in (TWO_PI * y).tolist()])
+    j12s = (TWO_PI * a * cos_2pi_y).tolist()
+    j21s = (-2.0 * a * x).tolist()
+    hypot, log, inf = math.hypot, math.log, math.inf
     v1x, v1y = 1.0, 0.0
     v2x, v2y = 0.0, 1.0
     s1 = s2 = 0.0
-    for i in range(iterations):
-        j12 = TWO_PI * a * math.cos(TWO_PI * y)
-        j21 = -2.0 * a * x
+    for i, j12, j21 in zip(range(iterations), j12s, j21s):
         u1x = v1x + j12 * v1y
         u1y = j21 * v1x + v1y
         u2x = v2x + j12 * v2y
         u2y = j21 * v2x + v2y
-        r1 = math.hypot(u1x, u1y)
-        if not (r1 > 0.0 and math.isfinite(r1)):
+        r1 = hypot(u1x, u1y)
+        if not 0.0 < r1 < inf:  # also false for NaN
             raise NumericalError("tangent frame degenerated")
         e1x, e1y = u1x / r1, u1y / r1
         d = u2x * e1x + u2y * e1y
         w2x, w2y = u2x - d * e1x, u2y - d * e1y
-        r2 = math.hypot(w2x, w2y)
-        if not (r2 > 0.0 and math.isfinite(r2)):
+        r2 = hypot(w2x, w2y)
+        if not 0.0 < r2 < inf:
             raise NumericalError("tangent frame degenerated")
         v1x, v1y = e1x, e1y
         v2x, v2y = w2x / r2, w2y / r2
         if i >= transient:
-            s1 += math.log(r1)
-            s2 += math.log(r2)
-        x, y = xs[i], ys[i]
+            s1 += log(r1)
+            s2 += log(r2)
     measured = iterations - transient
     l1, l2 = s1 / measured, s2 / measured
     if l2 > l1:

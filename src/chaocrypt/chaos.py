@@ -16,12 +16,14 @@ correctly rounded everywhere.  The test suite pins reference orbits.
 generate_sequence is the definition of an orbit.  `orbits` steps many of
 them at once with numpy in the same operation order, and is used only where
 numpy's sin returns libm's bits on a fixed probe; the tests bind the two.
+analysis.lyapunov_spectrum takes np.cos under the same probe.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +88,11 @@ def generate_sequence(
     initial: MapState,
     n: int,
     transient: int = 0,
-) -> tuple[list[float], list[float]]:
+) -> tuple[array, array]:
     """Iterate the map from `initial`, discard `transient` points, then
-    collect the next n.  Returns the x and y sequences, each of length n.
+    collect the next n.  Returns the x and y sequences as two array("d") of
+    length n: np.asarray reads them without a copy, and + concatenates them
+    as it does lists.
 
     This is the only loop that steps the map.  A non-finite state is
     absorbing (a NaN stays NaN; an infinite y makes the next sin raise), so
@@ -102,33 +106,44 @@ def generate_sequence(
     a, b = params.a, params.b
     x, y = initial.x, initial.y
     sin, two_pi = math.sin, TWO_PI  # locals spare a global and an attribute lookup per step
-    xs = [0.0] * n
-    ys = [0.0] * n
+    xs = array("d", [0.0]) * (transient + n)
+    ys = array("d", [0.0]) * (transient + n)
+    # Stores through a memoryview are cheaper than on the array itself, and
+    # release() is cheaper than a with block at small n.
+    xv, yv = memoryview(xs), memoryview(ys)
     try:
-        for i in range(-transient, n):
+        for i in range(transient + n):
             x, y = (x + b + a * sin(two_pi * y)) % 1.0, 1.0 - a * x * x + y
             if x >= 1.0:  # float % 1.0 can round up to exactly 1.0 for tiny negatives
                 x = 0.0
-            if i >= 0:
-                xs[i] = x
-                ys[i] = y
+            xv[i] = x
+            yv[i] = y
     except ValueError:  # sin of an infinite y
         raise NumericalError("orbit left the finite doubles") from None
+    finally:
+        xv.release()
+        yv.release()
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NumericalError("orbit left the finite doubles")
+    # After the release: an array with a live export cannot resize.
+    del xs[:transient]
+    del ys[:transient]
     return xs, ys
 
 
 @functools.cache
 def _numpy_sin_matches_libm() -> bool:
-    """Whether np.sin gives math.sin's bits on a fixed probe: the sin
-    arguments of a fixed orbit and +-10**k for k = -8..8 in 1/8 steps.
-    Checked on first use, not at import."""
+    """Whether np.sin and np.cos give math.sin's and math.cos's bits on a
+    fixed probe: the sin arguments of a fixed orbit and +-10**k for
+    k = -8..8 in 1/8 steps.  Checked on first use, not at import."""
     _, ys = generate_sequence(MapParams(3.7, 2.9), MapState(0.123, 0.456), 2048)
     scales = np.logspace(-8.0, 8.0, 129)
     probe = np.concatenate([TWO_PI * np.asarray(ys), scales, -scales])
-    libm = np.array([math.sin(v) for v in probe.tolist()])
-    return np.sin(probe).tobytes() == libm.tobytes()
+    args = probe.tolist()
+    return all(
+        fn(probe).tobytes() == np.array([libm(v) for v in args]).tobytes()
+        for fn, libm in ((np.sin, math.sin), (np.cos, math.cos))
+    )
 
 
 def orbits(a, b, initial: MapState, n: int, transient: int = 0):
@@ -139,10 +154,10 @@ def orbits(a, b, initial: MapState, n: int, transient: int = 0):
     for all its lanes at once in generate_sequence's operation order, so
     each row equals that lane's generate_sequence orbit bit for bit where
     np.sin rounds as math.sin does.  A block of fewer than ORBIT_MIN_LANES
-    lanes, and every block on a machine whose np.sin fails the probe of
-    _numpy_sin_matches_libm, is filled lane by lane from generate_sequence
-    instead.  Raises NumericalError, as generate_sequence does, if any lane
-    leaves the finite doubles.
+    lanes, and every block on a machine that fails the probe of
+    _numpy_sin_matches_libm, is filled lane by lane from generate_sequence's
+    buffers instead.  Raises NumericalError, as generate_sequence does, if
+    any lane leaves the finite doubles.
     """
     if n < 1:
         raise InvalidInput("sequence length must be >= 1")

@@ -365,11 +365,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _file_id(path):
     """What names the file at path: its device and inode where it exists, so
-    links to it match, else its real path.  realpath, unlike Path.resolve,
-    returns a symlink loop instead of raising."""
+    links to it match, else its real path.  Any other failure to stat it,
+    such as a symlink loop, raises OSError, so the command exits 2 before it
+    reads any input."""
     try:
         st = os.stat(path)
-    except OSError:
+    except FileNotFoundError:
         return os.path.realpath(path)
     return st.st_dev, st.st_ino
 

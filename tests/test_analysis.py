@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -14,6 +15,7 @@ from chaocrypt import (
     NumericalError,
     SweepSpec,
     bifurcation_sweep,
+    chaos,
     fitness_landscape,
     keyspace_size,
     length_experiment,
@@ -112,6 +114,49 @@ def test_lyapunov_bits_are_pinned(params, iterations, transient, hex_1, hex_2):
     # Recorded while the Lyapunov loop still stepped the map itself.
     result = lyapunov_spectrum(params, MapState(0.1, 0.1), iterations, transient)
     assert (result.exponent_1.hex(), result.exponent_2.hex()) == (hex_1, hex_2)
+
+
+@pytest.mark.parametrize("numpy_trig_matches", [True, False])
+def test_lyapunov_cells_are_pinned_with_and_without_numpy_cos(monkeypatch, numpy_trig_matches):
+    if not numpy_trig_matches:  # the fallback where numpy's cos is not libm's
+
+        def no_cos(*args):
+            raise AssertionError("np.cos called after the probe failed")
+
+        monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
+        monkeypatch.setattr(np, "cos", no_cos)
+    for params, iterations, transient, hex_1, hex_2 in [
+        (MapParams(2.0, 2.0), 2500, 500, "0x1.4a70c2789c3d2p+0", "0x1.ae203836cb772p-1"),
+        (MapParams(3.7, 2.9), 1, 0, "0x1.3dfa5f3472933p+1", "0x1.bf2faf87328c5p-3"),
+    ]:
+        result = lyapunov_spectrum(params, MapState(0.1, 0.1), iterations, transient)
+        assert (result.exponent_1.hex(), result.exponent_2.hex()) == (hex_1, hex_2)
+    # An 8 x 8 grid over the key ranges, recorded while every Jacobian entry
+    # was computed with math.cos step by step.
+    cells = []
+    for a in np.linspace(1.0, 4.0, 8).tolist():
+        for b in np.linspace(0.1, 4.0, 8).tolist():
+            result = lyapunov_spectrum(MapParams(a, b), MapState(0.1, 0.1), 400, 100)
+            cells.append(f"{result.exponent_1.hex()} {result.exponent_2.hex()}")
+    digest = hashlib.sha256("\n".join(cells).encode()).hexdigest()
+    assert digest == "b8486ac7682eba7de64391404b9906f27c18978e0fce78ab4a906c6abac30f9f"
+
+
+def test_trig_probe_fails_when_numpy_cos_differs_from_libm(monkeypatch):
+    real_cos = np.cos
+
+    def cos_one_ulp_off(values):
+        out = real_cos(values)
+        out[0] = np.nextafter(out[0], np.inf)
+        return out
+
+    chaos._numpy_sin_matches_libm.cache_clear()
+    try:
+        monkeypatch.setattr(np, "cos", cos_one_ulp_off)
+        assert chaos._numpy_sin_matches_libm() is False
+    finally:
+        monkeypatch.undo()
+        chaos._numpy_sin_matches_libm.cache_clear()
 
 
 def test_lyapunov_rejects_orbit_leaving_the_finite_doubles():

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import struct
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -151,14 +152,14 @@ def test_pinned_reference_orbit():
     # Platform contract: these exact doubles must reproduce on any build
     # that claims key compatibility.
     xs, ys = generate_sequence(MapParams(3.7, 2.9), MapState(0.1, 0.1), 5)
-    assert xs == [
+    assert list(xs) == [
         0.17480543348215072,
         0.5014662049085148,
         0.2567618555895046,
         0.609108246450627,
         0.856786798156361,
     ]
-    assert ys == [
+    assert list(ys) == [
         1.063,
         1.9499393235729343,
         2.019506411311145,
@@ -195,6 +196,19 @@ def test_generate_sequence_rejects_bad_counts():
         generate_sequence(params, init, 0)
     with pytest.raises(InvalidInput):
         generate_sequence(params, init, 5, transient=-1)
+
+
+def test_orbit_is_two_binary64_buffers_that_numpy_reads_in_place():
+    n = 65_536
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        xs, ys = generate_sequence(MapParams(2.5, 1.5), MapState(1 / n, 1 - 1 / n), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * n  # 8 bytes per point per buffer, plus a fixed overhead
+    assert np.shares_memory(np.asarray(xs), xs) and np.shares_memory(np.asarray(ys), ys)
 
 
 def test_tiny_parameter_change_decorrelates_orbit():

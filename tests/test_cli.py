@@ -300,8 +300,11 @@ def test_output_naming_an_input_file_through_a_link_exits_2(tmp_path, capsys, mo
     assert files == {**_INPUT_FILES, "lp": _INPUT_FILES["plaintext"]}
 
 
-def test_symlink_loop_as_input_or_output_exits_2(tmp_path, capsys):
+def test_symlink_loop_as_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
+    from chaocrypt import cli
+
     cipher, keyfile = _skip_ga_encrypt(tmp_path, b"a message")
+    plain = tmp_path / "m.txt"
     loop = tmp_path / "loop"
     loop.symlink_to(loop)
     capsys.readouterr()
@@ -311,6 +314,24 @@ def test_symlink_loop_as_input_or_output_exits_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+    # An output that loops is found before any input is read or any work done.
+    def boom(*args):
+        raise AssertionError("ran before the output was checked")
+
+    for name in ("read_key_file", "cipher_decrypt", "encrypt"):
+        monkeypatch.setattr(cli, name, boom)
+    monkeypatch.setattr(cli.ga, "evolve", boom)
+    new_key = tmp_path / "new.key"
+    for argv in (["decrypt", str(cipher), "--key", str(keyfile), "--out", str(loop)],
+                 ["encrypt", str(plain), "--out", str(loop), "--key-out", str(new_key)],
+                 ["encrypt", str(plain), "--out", str(loop), "--key-out", str(new_key),
+                  "--skip-ga", "--a", "2.5", "--b", "1.5"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "loop" in err and err.count("\n") == 1
+        assert loop.is_symlink() and loop.readlink() == loop
+        assert not new_key.exists()
 
 
 def test_request_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
