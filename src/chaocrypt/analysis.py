@@ -101,13 +101,20 @@ def bifurcation_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     return values, xs
 
 
-def bin_coverage(xs, bins: int = 100) -> float:
-    """Fraction of equal-width bins of [0, 1) hit by the values."""
+def bin_coverage(xs, bins: int = 100) -> float | np.ndarray:
+    """Fraction of equal-width bins of [0, 1) hit by the values: a float for
+    a 1-D xs, and an array of each row's fraction for a 2-D xs."""
+    if bins < 1:
+        raise InvalidInput("bins must be >= 1")
     arr = np.asarray(xs, dtype=np.float64)
     if arr.size == 0:
         raise InvalidInput("no values")
-    idx = np.minimum((arr * bins).astype(np.int64), bins - 1)
-    return len(np.unique(idx)) / bins
+    if arr.ndim > 2:
+        raise InvalidInput("values must be 1-D or 2-D")
+    # A row's distinct bins: its sorted bin indices, counted where they change.
+    idx = np.sort(np.minimum((np.atleast_2d(arr) * bins).astype(np.int64), bins - 1))
+    coverage = (1 + np.count_nonzero(idx[:, 1:] != idx[:, :-1], axis=1)) / bins
+    return coverage if arr.ndim == 2 else float(coverage[0])
 
 
 def lyapunov_spectrum(

@@ -38,6 +38,10 @@ TWO_PI = 2.0 * math.pi
 ORBIT_BLOCK_BYTES = 2 << 20
 ORBIT_MIN_LANES = 64
 
+# generate_sequence steps whole chunks of this many transient points into
+# one scratch pair of buffers, so a long transient is not held in memory.
+TRANSIENT_CHUNK = 1 << 15
+
 # Ranges that encryption keys are drawn from.  Analysis sweeps may step
 # outside them (e.g. b down to 0); a cipher.KeyRecord may not.
 A_MIN, A_MAX = 1.0, 4.0
@@ -94,10 +98,9 @@ def generate_sequence(
     length n: np.asarray reads them without a copy, and + concatenates them
     as it does lists.
 
-    This is the only loop that steps the map.  A non-finite state is
-    absorbing (a NaN stays NaN; an infinite y makes the next sin raise), so
-    one check of the final state catches any orbit that left the finite
-    doubles, and raises NumericalError.
+    A non-finite state is absorbing (a NaN stays NaN; an infinite y makes
+    the next sin raise), so one check of the final state catches any orbit
+    that left the finite doubles, and raises NumericalError.
     """
     if n < 1:
         raise InvalidInput("sequence length must be >= 1")
@@ -105,14 +108,34 @@ def generate_sequence(
         raise InvalidInput("transient must be >= 0")
     a, b = params.a, params.b
     x, y = initial.x, initial.y
+    chunks, head = divmod(transient, TRANSIENT_CHUNK)
+    if chunks:
+        # x and y share the scratch buffer: its points are never read.
+        scratch = array("d", [0.0]) * TRANSIENT_CHUNK
+        for _ in range(chunks):
+            x, y = _fill(a, b, x, y, scratch, scratch)
+        del scratch
+    xs = array("d", [0.0]) * (head + n)
+    ys = array("d", [0.0]) * (head + n)
+    x, y = _fill(a, b, x, y, xs, ys)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NumericalError("orbit left the finite doubles")
+    del xs[:head]
+    del ys[:head]
+    return xs, ys
+
+
+def _fill(a, b, x, y, xs, ys):
+    """Step the map len(xs) times from (x, y), storing the points in xs and
+    ys, and return the last one.  This is the only loop that steps the map
+    one orbit at a time."""
     sin, two_pi = math.sin, TWO_PI  # locals spare a global and an attribute lookup per step
-    xs = array("d", [0.0]) * (transient + n)
-    ys = array("d", [0.0]) * (transient + n)
     # Stores through a memoryview are cheaper than on the array itself, and
-    # release() is cheaper than a with block at small n.
+    # release() is cheaper than a with block at small n.  The caller may
+    # resize the arrays only once the views are released.
     xv, yv = memoryview(xs), memoryview(ys)
     try:
-        for i in range(transient + n):
+        for i in range(len(xs)):
             x, y = (x + b + a * sin(two_pi * y)) % 1.0, 1.0 - a * x * x + y
             if x >= 1.0:  # float % 1.0 can round up to exactly 1.0 for tiny negatives
                 x = 0.0
@@ -123,12 +146,7 @@ def generate_sequence(
     finally:
         xv.release()
         yv.release()
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise NumericalError("orbit left the finite doubles")
-    # After the release: an array with a live export cannot resize.
-    del xs[:transient]
-    del ys[:transient]
-    return xs, ys
+    return x, y
 
 
 @functools.cache

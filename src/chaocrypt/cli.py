@@ -10,7 +10,6 @@ never leaves a ciphertext without its key.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -25,17 +24,33 @@ from .errors import FormatError, InvalidInput, NumericalError
 from .keyfile import read_key_file, write_key_file
 
 
+# The printf form of every number the CLI writes in full: 17 significant
+# digits give back the same double.  "%" formats it through the same C
+# routine as format(v, ".17g"), so the digits are the same.
+_NUM = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    return format(v, ".17g")
+    return _NUM % v
 
 
-def _write_csv(path, header, rows, comment: str | None = None) -> None:
+def _write_csv(path, header, blocks, comment: str | None = None) -> None:
+    """Write an optional "# comment" line, the header, then blocks of rows.
+
+    A block is a (line, values) pair: line is the printf format of one row,
+    one conversion per field that is not already text in it, and values
+    holds the fields of all the block's rows, flat; the text a line holds
+    (a formatted number, a fixed name) has no "%".  Each block is
+    formatted by one % call and written before the next is made, so memory
+    stays bounded by a block.  Every field is a number or a fixed name, so
+    nothing is quoted; lines end in LF.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for line, values in blocks:
+            fh.write((line + "\n") * (len(values) // line.count("%")) % tuple(values))
 
 
 def _parse_range(text: str, parts: int):
@@ -120,12 +135,15 @@ def cmd_encrypt(args) -> int:
         print(f"best fitness: {report.best_genome.fitness:.4f}")
         print(f"terminated by: {report.terminated_by}")
         if args.report:
-            rows = [
-                (rec.generation, i, _fmt(a), _fmt(b), _fmt(f))
-                for rec in report.history
-                for i, (a, b, f) in enumerate(rec.population)
-            ]
-            _write_csv(args.report, ("generation", "genome", "a", "b", "fitness"), rows)
+            line = f"%d,%d,{_NUM},{_NUM},{_NUM}"
+            _write_csv(
+                args.report,
+                ("generation", "genome", "a", "b", "fitness"),
+                (
+                    (line, [v for i, genome in enumerate(rec.population) for v in (rec.generation, i, *genome)])
+                    for rec in report.history
+                ),
+            )
 
     _write_atomic(args.key_out, lambda tmp: write_key_file(record, tmp))
     _write_atomic(args.out, lambda tmp: tmp.write_bytes(ciphertext))
@@ -161,7 +179,7 @@ def cmd_analyze_bifurcation(args) -> int:
         initial_state=MapState(args.x0, args.y0),
     )
     values, xs = analysis.bifurcation_sweep(spec)
-    coverages = [analysis.bin_coverage(row) for row in xs]
+    coverages = analysis.bin_coverage(xs).tolist()
     comment = (
         f"swept={spec.swept_parameter} fixed={_fmt(spec.fixed_value)} "
         f"x0={_fmt(spec.initial_state.x)} y0={_fmt(spec.initial_state.y)} "
@@ -170,7 +188,7 @@ def cmd_analyze_bifurcation(args) -> int:
     _write_csv(
         args.out,
         (spec.swept_parameter, "x"),
-        ((p, _fmt(x)) for p, row in zip(map(_fmt, values.tolist()), xs.tolist()) for x in row),
+        ((f"{_fmt(p)},{_NUM}", row.tolist()) for p, row in zip(values.tolist(), xs)),
         comment=comment,
     )
     print(f"rows: {xs.size}")
@@ -194,14 +212,9 @@ def cmd_analyze_lyapunov(args) -> int:
             ("a", "b", "x0", "y0", "iterations", "transient", "exponent_1", "exponent_2"),
             [
                 (
-                    _fmt(args.a),
-                    _fmt(args.b),
-                    _fmt(args.x0),
-                    _fmt(args.y0),
-                    result.iterations,
-                    result.transient,
-                    _fmt(result.exponent_1),
-                    _fmt(result.exponent_2),
+                    f"{_NUM},{_NUM},{_NUM},{_NUM},%d,%d,{_NUM},{_NUM}",
+                    (args.a, args.b, args.x0, args.y0, result.iterations, result.transient,
+                     result.exponent_1, result.exponent_2),
                 )
             ],
         )
@@ -213,7 +226,8 @@ def cmd_analyze_landscape(args) -> int:
     a_range = _parse_range(args.a_range, 2)
     b_range = _parse_range(args.b_range, 2)
     table = analysis.fitness_landscape(plaintext, a_range, b_range, args.grid_a, args.grid_b)
-    _write_csv(args.out, ("a", "b", "fitness"), ((_fmt(a), _fmt(b), _fmt(f)) for a, b, f in table.tolist()))
+    line = f"{_NUM},{_NUM},{_NUM}"
+    _write_csv(args.out, ("a", "b", "fitness"), ((line, row.tolist()) for row in table.reshape(args.grid_a, -1)))
     best = table[:, 2].max()
     near = int((table[:, 2] >= best - 0.5).sum())
     print(f"rows: {table.shape[0]}")
@@ -232,12 +246,12 @@ def cmd_analyze_lengths(args) -> int:
     config = _ga_config(args)
     results = analysis.length_experiment(lengths, config, trials=args.trials)
     if args.trials == 1:
-        header = ("length", "generations", "max_fitness")
-        rows = [(r.length, r.generations, _fmt(r.max_fitness)) for r in results]
+        header, line = ("length", "generations", "max_fitness"), f"%d,%d,{_NUM}"
+        values = [v for r in results for v in (r.length, r.generations, r.max_fitness)]
     else:
-        header = ("length", "trial", "generations", "max_fitness")
-        rows = [(r.length, r.trial, r.generations, _fmt(r.max_fitness)) for r in results]
-    _write_csv(args.out, header, rows)
+        header, line = ("length", "trial", "generations", "max_fitness"), f"%d,%d,%d,{_NUM}"
+        values = [v for r in results for v in (r.length, r.trial, r.generations, r.max_fitness)]
+    _write_csv(args.out, header, [(line, values)])
     for length, best, mean, gens in analysis.summarize_lengths(results):
         print(f"length {length}: max fitness {best:.4f}, mean fitness {mean:.4f}, mean generations {gens:.1f}")
     return 0
@@ -260,7 +274,7 @@ def cmd_analyze_sensitivity(args) -> int:
         _write_csv(
             args.out,
             ("component", "epsilon", "fraction_changed"),
-            [(args.component, _fmt(args.epsilon), _fmt(fraction))],
+            [(f"{args.component},{_NUM},{_NUM}", (args.epsilon, fraction))],
         )
     return 0
 

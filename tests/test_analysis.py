@@ -52,6 +52,42 @@ def test_bifurcation_sweep_over_b_is_dense():
         assert bin_coverage(row) >= 0.95
 
 
+def _unique_bins(row, bins):
+    """Reference: the number of distinct bins np.unique finds, over bins."""
+    return len(np.unique(np.minimum((np.asarray(row) * bins).astype(np.int64), bins - 1))) / bins
+
+
+@pytest.mark.parametrize("bins", [1, 7, 100])
+def test_bin_coverage_of_rows_equals_coverage_of_each_row(bins):
+    below_one = math.nextafter(1.0, 0.0)
+    blocks = [
+        np.array(
+            [
+                [0.5, 0.5, 0.5, 0.5],
+                [0.0, 0.0, 0.0, 0.0],
+                [below_one] * 4,
+                [0.0, below_one, 0.0, below_one],
+                [below_one, 0.5, 0.25, 0.0],
+            ]
+        ),
+        np.array([[0.0], [below_one], [0.3]]),  # single elements
+    ]
+    for rows in blocks:
+        got = bin_coverage(rows, bins)
+        assert got.shape == (len(rows),)
+        assert got.tolist() == [bin_coverage(row, bins) for row in rows]
+        assert got.tolist() == [_unique_bins(row, bins) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "xs, bins",
+    [([], 100), (np.empty((0, 4)), 100), (np.empty((3, 0)), 100), ([0.5], 0), ([0.5], -1)],
+)
+def test_bin_coverage_rejects_no_values_and_bins_below_one(xs, bins):
+    with pytest.raises(InvalidInput):
+        bin_coverage(xs, bins)
+
+
 def test_bifurcation_rejects_bad_specs():
     with pytest.raises(InvalidInput):
         bifurcation_sweep(SweepSpec("c", 2.0, 1.0, 4.0, 10, 100, 0))

@@ -18,7 +18,7 @@ from chaocrypt import (
     derive_initial_state,
     generate_sequence,
 )
-from chaocrypt.chaos import ORBIT_MIN_LANES, orbits
+from chaocrypt.chaos import ORBIT_MIN_LANES, TRANSIENT_CHUNK, orbits
 
 
 def test_derive_initial_state_uniform_bytes():
@@ -181,6 +181,28 @@ def test_transient_is_pure_prefix_discard():
     tail_x, tail_y = generate_sequence(params, init, 5, transient=2)
     assert tail_x == full_x[2:]
     assert tail_y == full_y[2:]
+
+
+@pytest.mark.parametrize(
+    "transient", [TRANSIENT_CHUNK - 1, TRANSIENT_CHUNK, TRANSIENT_CHUNK + 1, 2 * TRANSIENT_CHUNK + 3]
+)
+def test_transient_stepped_in_chunks_is_one_orbit(transient):
+    params, init = MapParams(2.5, 1.5), MapState(0.1, 0.1)
+    full_x, full_y = generate_sequence(params, init, transient + 5)
+    tail_x, tail_y = generate_sequence(params, init, 5, transient)
+    assert tail_x.tobytes() == full_x[transient:].tobytes()
+    assert tail_y.tobytes() == full_y[transient:].tobytes()
+
+
+def test_long_transient_is_not_held_in_memory():
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        generate_sequence(MapParams(2.5, 1.5), MapState(0.1, 0.1), 100, transient=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_sequences_are_deterministic():

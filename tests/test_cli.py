@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import warnings
@@ -657,3 +658,80 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "1.17e+63" in proc.stdout
+
+
+# SHA-256 of (CSV bytes, stdout) for every command that writes a CSV.  The
+# bifurcation sweeps run once with >= ORBIT_MIN_LANES steps (numpy lanes)
+# and once with fewer (generate_sequence lane by lane).
+_CSV_PINS = {
+    "bif_a_lanes": (
+        ["analyze", "bifurcation", "--param", "a", "--fixed", "1.5", "--range", "1:4",
+         "--steps", "64", "--iters", "120", "--transient", "40", "--out", "OUT"],
+        "42a3ae83ba134ed76d43dbe87caba3e6d0a17459c13283d5df670e73dcd79cbc",
+        "cff4ffc0cd800f511de2fb6564ae88e3c8d6bb78a0fcc59363bc535340718ae4",
+    ),
+    "bif_a_fallback": (
+        ["analyze", "bifurcation", "--param", "a", "--fixed", "0.75", "--range", "1:4",
+         "--steps", "7", "--iters", "90", "--transient", "30", "--x0", "0.3", "--y0", "-0.2", "--out", "OUT"],
+        "fad2d316d7f0178ab591a47e14cc33331a52ce2e7027b7987ded4a2be297c6ff",
+        "742687a2aba5c86e5927f5048106a3372f6dcb6320cc2daca5527d3e81422961",
+    ),
+    "bif_b_lanes": (
+        ["analyze", "bifurcation", "--param", "b", "--fixed", "2.5", "--range", "0.1:4",
+         "--steps", "64", "--iters", "120", "--transient", "40", "--out", "OUT"],
+        "3f600a67b6f2a485a59115a8658999f11e394f1209db253247a74e3b428ae457",
+        "012e1de5331f5205672f7751c664c4921c04911ead24fbe8d207a2ae5e13593e",
+    ),
+    "bif_b_fallback": (
+        ["analyze", "bifurcation", "--param", "b", "--fixed", "3.25", "--range=-0.5:0.5",
+         "--steps", "5", "--iters", "90", "--transient", "0", "--out", "OUT"],
+        "14f40e19f992179a10c73f49666a1eee54d9b19b1e11a9007060b433acf56717",
+        "4635936c3181f652808fdd797fb75f00defbe7216eb7acabab1ba70d76d68f27",
+    ),
+    "landscape": (
+        ["analyze", "landscape", "--plaintext", "PLAIN", "--grid-a", "3", "--grid-b", "3", "--out", "OUT"],
+        "8f234f105ad285ce8781834a0e4880634026af6d1b77d100487085e0b2337e16",
+        "87a126b305b592f2567a6cedb2e46025bf058cdb5572ee0a50d2df575000c24e",
+    ),
+    "lyapunov": (
+        ["analyze", "lyapunov", "--a", "2.5", "--b", "1.5", "--iters", "400", "--transient", "100", "--out", "OUT"],
+        "0a2eede7dfbd6715818fba06a9275bc45c491c749b40fe891a88bf2823bbc4ab",
+        "ce2e073693a3bc67ef1fee417c0cf423a6aeea87d302879f87836713737c1149",
+    ),
+    "lengths_1": (
+        ["analyze", "lengths", "--lengths", "10,40", "--seed", "3", "--max-generations", "3",
+         "--population", "8", "--out", "OUT"],
+        "d87368550654c2c103d78926ca8b99b0be88406b6c36136df48631ac0090d5a0",
+        "ffdd856ad61c0e5ce774a480915f18a775654e4d4a4a4141161fba580113901e",
+    ),
+    "lengths_2": (
+        ["analyze", "lengths", "--lengths", "10,40", "--trials", "2", "--seed", "3",
+         "--max-generations", "3", "--population", "8", "--out", "OUT"],
+        "197c2c774a85638cc1ff416bd6fb6cb27418c6749ca8eecac7e589dd663ea58c",
+        "93e255b1d32b018bed205ae42960e19990338eae5981c014c3271d7ee0de262e",
+    ),
+    "sensitivity": (
+        ["analyze", "sensitivity", "--plaintext", "PLAIN", "--a", "2.5", "--b", "1.5",
+         "--component", "b", "--epsilon", "1e-12", "--out", "OUT"],
+        "c22df1919505f1ccef09e35a65f6fe8506cce3f43c0ed204d8eecefd33fe55f7",
+        "8ff351efd24089c606507c27a1b08c4f9608692b19ca6c9225904effee3b39ab",
+    ),
+    "encrypt_report": (
+        ["encrypt", "PLAIN", "--out", "CIPHER", "--key-out", "KEY", "--seed", "11",
+         "--max-generations", "4", "--population", "10", "--report", "OUT"],
+        "2566353a6c0448c71e583efa3d1e2fe88232e6364e3cf74642465f22115f270d",
+        "02751c807bcc4ab90e032f827ee1527eb92c63c8f0e6e1b6e0b96e7d0dee9b5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_PINS))
+def test_csv_and_stdout_bytes_are_pinned(tmp_path, capsys, name):
+    argv, csv_digest, stdout_digest = _CSV_PINS[name]
+    plain, out = tmp_path / "p.txt", tmp_path / "o.csv"
+    plain.write_bytes(b"pinned plaintext, 40 bytes of it: abcdef")
+    names = {"PLAIN": plain, "CIPHER": tmp_path / "c", "KEY": tmp_path / "k", "OUT": out}
+    assert main([str(names.get(a, a)) for a in argv]) == 0
+    stdout = capsys.readouterr().out
+    got = (hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(stdout.encode()).hexdigest())
+    assert got == (csv_digest, stdout_digest)

@@ -1,4 +1,4 @@
-"""Property tests for the CLI's exit-code contract.
+"""Property tests for the CLI's exit-code contract and its number format.
 
 Arbitrary key files: reading one either gives a KeyRecord or raises
 FormatError/InvalidInput, and `chaocrypt decrypt` with it exits 0, 2 or 3
@@ -6,11 +6,13 @@ without a traceback.  Arbitrary argv for the analysis, keyspace and
 `encrypt --skip-ga` commands: every float option is drawn from all doubles
 (and the strings inf/nan), and the command exits 0, 2 or 3 without a
 traceback and writes no output when it fails.  Work-setting integers stay
-small, since they set how long a command runs."""
+small, since they set how long a command runs.  Any double in a CSV block
+is written as format(v, ".17g") writes it."""
 
 import contextlib
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaocrypt import FormatError, InvalidInput, KeyRecord
-from chaocrypt.cli import main
+from chaocrypt.cli import _NUM, _fmt, _write_csv, main
 from chaocrypt.keyfile import float_to_hex, read_key_file
 
 CIPHERTEXT = bytes(range(1, 9))
@@ -168,3 +170,26 @@ def test_cli_with_any_numeric_arguments_keeps_the_exit_code_contract(argv_output
         assert "Traceback" not in err.getvalue()
         if rc != 0:
             assert not any(paths[name].exists() for name in outputs)
+
+
+DOUBLES = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+     sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+)
+
+
+@FUZZ
+@given(DOUBLES, st.lists(DOUBLES, min_size=1, max_size=20))
+def test_csv_blocks_write_every_double_as_format_17g(p, values):
+    def g(v):
+        return format(v, ".17g")
+
+    flat = [*values, *values]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "o.csv"
+        # A row prefix formatted once, as the bifurcation writes, then rows of two conversions.
+        _write_csv(path, ("p", "x"), [(f"{_fmt(p)},{_NUM}", values), (f"{_NUM},{_NUM}", flat)])
+        text = path.read_bytes().decode("ascii")
+    want = "p,x\n" + "".join(f"{g(p)},{g(v)}\n" for v in values)
+    want += "".join(f"{g(flat[i])},{g(flat[i + 1])}\n" for i in range(0, len(flat), 2))
+    assert text == want
