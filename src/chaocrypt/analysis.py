@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import chaos
-from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, generate_sequence, orbits
+from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, generate_sequence
 from .cipher import KEY_FIELDS, KeyRecord, decrypt, keystream_from_orbit
 from .errors import InvalidInput, NumericalError
 from .ga import FitnessEvaluator, GaConfig, evolve
@@ -24,6 +24,9 @@ from .ga import FitnessEvaluator, GaConfig, evolve
 # it beyond being in the basin; it is echoed into CSV headers so runs can be
 # reproduced.
 DEFAULT_SWEEP_STATE = MapState(0.1, 0.1)
+
+# bin_coverage counts this many equal-width bins of [0, 1).
+COVERAGE_BINS = 100
 
 # (low, high, precision) per key component: a, b at 1e-15, x0, y0 at 1e-16.
 DEFAULT_KEYSPACE_RANGES = (
@@ -71,8 +74,6 @@ class SweepSpec:
 class LyapunovResult:
     exponent_1: float  # per-step log divergence, natural log, sorted descending
     exponent_2: float
-    iterations: int
-    transient: int
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,6 @@ class LengthTrialResult:
     trial: int
     generations: int
     max_fitness: float
-    terminated_by: str
 
 
 def bifurcation_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -97,24 +97,19 @@ def bifurcation_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
         a, b = values, spec.fixed_value
     else:
         a, b = spec.fixed_value, values
-    xs = np.concatenate([block for block, _ in orbits(a, b, spec.initial_state, m, spec.transient)])
+    xs = np.concatenate([block for block, _ in chaos._orbits(a, b, spec.initial_state, m, spec.transient)])
     return values, xs
 
 
-def bin_coverage(xs, bins: int = 100) -> float | np.ndarray:
-    """Fraction of equal-width bins of [0, 1) hit by the values: a float for
-    a 1-D xs, and an array of each row's fraction for a 2-D xs."""
-    if bins < 1:
-        raise InvalidInput("bins must be >= 1")
+def bin_coverage(xs) -> np.ndarray:
+    """Fraction of the COVERAGE_BINS equal-width bins of [0, 1) hit by each
+    row of the 2-D xs (a bifurcation sweep's rows)."""
     arr = np.asarray(xs, dtype=np.float64)
-    if arr.size == 0:
-        raise InvalidInput("no values")
-    if arr.ndim > 2:
-        raise InvalidInput("values must be 1-D or 2-D")
+    if arr.ndim != 2 or arr.size == 0:
+        raise InvalidInput("values must be a non-empty 2-D array: one row per swept value")
     # A row's distinct bins: its sorted bin indices, counted where they change.
-    idx = np.sort(np.minimum((np.atleast_2d(arr) * bins).astype(np.int64), bins - 1))
-    coverage = (1 + np.count_nonzero(idx[:, 1:] != idx[:, :-1], axis=1)) / bins
-    return coverage if arr.ndim == 2 else float(coverage[0])
+    idx = np.sort(np.minimum((arr * COVERAGE_BINS).astype(np.int64), COVERAGE_BINS - 1))
+    return (1 + np.count_nonzero(idx[:, 1:] != idx[:, :-1], axis=1)) / COVERAGE_BINS
 
 
 def lyapunov_spectrum(
@@ -145,7 +140,7 @@ def lyapunov_spectrum(
     # TWO_PI * a * math.cos(TWO_PI * y) and -2.0 * a * x.
     x = np.concatenate(([initial.x], np.asarray(xs)[:-1]))
     y = np.concatenate(([initial.y], np.asarray(ys)[:-1]))
-    if chaos._numpy_sin_matches_libm():  # the probe that guards chaos.orbits
+    if chaos._numpy_sin_matches_libm():  # the probe that guards chaos._orbits
         cos_2pi_y = np.cos(TWO_PI * y)
     else:
         cos_2pi_y = np.array([math.cos(v) for v in (TWO_PI * y).tolist()])
@@ -178,14 +173,14 @@ def lyapunov_spectrum(
     l1, l2 = s1 / measured, s2 / measured
     if l2 > l1:
         l1, l2 = l2, l1
-    return LyapunovResult(l1, l2, iterations, transient)
+    return LyapunovResult(l1, l2)
 
 
 def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> np.ndarray:
     """Fitness of encrypting `plaintext` at every point of an (a, b) grid.
 
     Returns grid_a * grid_b rows of (a, b, fitness), a-major order.  Each
-    cell's orbit comes from chaos.orbits and is ranked and scored exactly as
+    cell's orbit comes from chaos._orbits and is ranked and scored exactly as
     FitnessEvaluator.score would.
     """
     a_low, a_high = a_range
@@ -199,7 +194,7 @@ def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> 
     b = np.tile(np.linspace(b_low, b_high, grid_b), grid_a)
     scores = [
         evaluator.score_key(keystream_from_orbit(x, y))
-        for xs, ys in orbits(a, b, evaluator.initial, evaluator.n)
+        for xs, ys in chaos._orbits(a, b, evaluator.initial, evaluator.n)
         for x, y in zip(xs, ys)
     ]
     return np.column_stack((a, b, scores))
@@ -255,7 +250,6 @@ def length_experiment(lengths, config: GaConfig, trials: int = 1) -> list[Length
                     trial=trial,
                     generations=report.generations_run,
                     max_fitness=report.best_genome.fitness,
-                    terminated_by=report.terminated_by,
                 )
             )
     return results

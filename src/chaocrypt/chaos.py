@@ -13,9 +13,10 @@ All arithmetic is IEEE-754 binary64.  Key reproducibility across machines
 additionally requires a correctly rounded libm sin; +, -, *, and mod are
 correctly rounded everywhere.  The test suite pins reference orbits.
 
-generate_sequence is the definition of an orbit.  `orbits` steps many of
-them at once with numpy in the same operation order, and is used only where
-numpy's sin returns libm's bits on a fixed probe; the tests bind the two.
+generate_sequence is the definition of an orbit.  `_orbits` steps many of
+them at once with numpy in the same operation order for the analysis grids,
+and is used only where numpy's sin returns libm's bits on a fixed probe; the
+tests bind the two.
 analysis.lyapunov_spectrum takes np.cos under the same probe.
 """
 
@@ -32,14 +33,14 @@ from .errors import InvalidInput, NumericalError
 
 TWO_PI = 2.0 * math.pi
 
-# `orbits` holds at most this many bytes of xs and ys per block of lanes, and
+# `_orbits` holds at most this many bytes of xs and ys per block of lanes, and
 # steps a block in numpy only if it holds at least ORBIT_MIN_LANES lanes:
 # below that numpy's fixed cost per step outweighs the lanes it steps at once.
 ORBIT_BLOCK_BYTES = 2 << 20
 ORBIT_MIN_LANES = 64
 
-# generate_sequence steps whole chunks of this many transient points into
-# one scratch pair of buffers, so a long transient is not held in memory.
+# generate_sequence steps a transient in chunks of at most this many points
+# through one scratch buffer, so a long transient is not held in memory.
 TRANSIENT_CHUNK = 1 << 15
 
 # Ranges that encryption keys are drawn from.  Analysis sweeps may step
@@ -108,20 +109,19 @@ def generate_sequence(
         raise InvalidInput("transient must be >= 0")
     a, b = params.a, params.b
     x, y = initial.x, initial.y
-    chunks, head = divmod(transient, TRANSIENT_CHUNK)
-    if chunks:
-        # x and y share the scratch buffer: its points are never read.
-        scratch = array("d", [0.0]) * TRANSIENT_CHUNK
-        for _ in range(chunks):
-            x, y = _fill(a, b, x, y, scratch, scratch)
-        del scratch
-    xs = array("d", [0.0]) * (head + n)
-    ys = array("d", [0.0]) * (head + n)
+    if transient:
+        # x and y share the scratch buffer: its points are never read.  The
+        # last chunk steps through a slice of it.
+        scratch = memoryview(array("d", [0.0]) * min(transient, TRANSIENT_CHUNK))
+        for done in range(0, transient, TRANSIENT_CHUNK):
+            chunk = scratch[: transient - done]
+            x, y = _fill(a, b, x, y, chunk, chunk)
+        del scratch, chunk
+    xs = array("d", [0.0]) * n
+    ys = array("d", [0.0]) * n
     x, y = _fill(a, b, x, y, xs, ys)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NumericalError("orbit left the finite doubles")
-    del xs[:head]
-    del ys[:head]
     return xs, ys
 
 
@@ -164,9 +164,12 @@ def _numpy_sin_matches_libm() -> bool:
     )
 
 
-def orbits(a, b, initial: MapState, n: int, transient: int = 0):
+def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
     """generate_sequence for K lanes of parameters (a[k], b[k]), all from
     `initial`: yields (xs, ys) blocks of shape (lanes, n), lanes in order.
+    Its callers, analysis.bifurcation_sweep and analysis.fitness_landscape,
+    have checked what it is given: a and b are finite and broadcast to one
+    1-D sequence of lanes, n >= 1 and transient >= 0.
 
     A block holds at most ORBIT_BLOCK_BYTES of xs and ys.  It is stepped
     for all its lanes at once in generate_sequence's operation order, so
@@ -177,19 +180,7 @@ def orbits(a, b, initial: MapState, n: int, transient: int = 0):
     buffers instead.  Raises NumericalError, as generate_sequence does, if
     any lane leaves the finite doubles.
     """
-    if n < 1:
-        raise InvalidInput("sequence length must be >= 1")
-    if transient < 0:
-        raise InvalidInput("transient must be >= 0")
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    if a.ndim != 1:
-        raise InvalidInput("a and b must broadcast to one 1-D sequence of lanes")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidInput("map parameters must be finite")
-    return _orbit_blocks(a, b, initial, n, transient)
-
-
-def _orbit_blocks(a, b, initial, n, transient):
     lanes = a.size
     capacity = max(1, ORBIT_BLOCK_BYTES // (16 * n))
     blocks = -(-lanes // capacity)

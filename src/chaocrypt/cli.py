@@ -213,7 +213,7 @@ def cmd_analyze_lyapunov(args) -> int:
             [
                 (
                     f"{_NUM},{_NUM},{_NUM},{_NUM},%d,%d,{_NUM},{_NUM}",
-                    (args.a, args.b, args.x0, args.y0, result.iterations, result.transient,
+                    (args.a, args.b, args.x0, args.y0, args.iters, args.transient,
                      result.exponent_1, result.exponent_2),
                 )
             ],

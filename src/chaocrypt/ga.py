@@ -212,15 +212,13 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
         if generation == config.max_generations:
             break
 
-        survivors = select_top(population, scores, config.elite_fraction)
-        k = len(survivors)
-        children: list[tuple[float, float]] = []
-        while k + len(children) < config.population_size:
-            first, second = crossover(survivors[rng.randrange(k)], survivors[rng.randrange(k)])
-            children.append(first)
-            if k + len(children) < config.population_size:
-                children.append(second)
-        population = [mutate(pair, config, rng) for pair in survivors + children]
+        # The survivors, then whole crossover pairs of random survivors; an
+        # odd last slot keeps the first child of its pair.
+        population = select_top(population, scores, config.elite_fraction)
+        k = len(population)
+        while len(population) < config.population_size:
+            population.extend(crossover(population[rng.randrange(k)], population[rng.randrange(k)]))
+        population = [mutate(pair, config, rng) for pair in population[: config.population_size]]
 
     best = max(scored, key=scored.__getitem__)
     return EvolutionReport(

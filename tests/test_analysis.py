@@ -24,7 +24,7 @@ from chaocrypt import (
     sensitivity_probe,
     summarize_lengths,
 )
-from chaocrypt.analysis import bin_coverage
+from chaocrypt.analysis import COVERAGE_BINS, bin_coverage
 from chaocrypt.chaos import ORBIT_MIN_LANES
 
 
@@ -38,8 +38,7 @@ def test_bifurcation_row_count():
 def test_bifurcation_sweep_over_a_is_dense():
     spec = SweepSpec("a", 2.0, 1.0, 4.0, steps=100, iterations=1500, transient=500)
     _, xs = bifurcation_sweep(spec)
-    for row in xs:
-        assert bin_coverage(row) >= 0.95
+    assert np.all(bin_coverage(xs) >= 0.95)
 
 
 def test_bifurcation_sweep_over_b_is_dense():
@@ -48,17 +47,16 @@ def test_bifurcation_sweep_over_b_is_dense():
     # grids over (0, 4) straddle.
     spec = SweepSpec("b", 2.0, 0.0, 4.0, steps=100, iterations=1500, transient=500)
     _, xs = bifurcation_sweep(spec)
-    for row in xs:
-        assert bin_coverage(row) >= 0.95
+    assert np.all(bin_coverage(xs) >= 0.95)
 
 
-def _unique_bins(row, bins):
-    """Reference: the number of distinct bins np.unique finds, over bins."""
+def _unique_bins(row):
+    """Reference: the number of distinct bins np.unique finds, over the bins."""
+    bins = COVERAGE_BINS
     return len(np.unique(np.minimum((np.asarray(row) * bins).astype(np.int64), bins - 1))) / bins
 
 
-@pytest.mark.parametrize("bins", [1, 7, 100])
-def test_bin_coverage_of_rows_equals_coverage_of_each_row(bins):
+def test_bin_coverage_of_rows_equals_coverage_of_each_row():
     below_one = math.nextafter(1.0, 0.0)
     blocks = [
         np.array(
@@ -73,19 +71,15 @@ def test_bin_coverage_of_rows_equals_coverage_of_each_row(bins):
         np.array([[0.0], [below_one], [0.3]]),  # single elements
     ]
     for rows in blocks:
-        got = bin_coverage(rows, bins)
+        got = bin_coverage(rows)
         assert got.shape == (len(rows),)
-        assert got.tolist() == [bin_coverage(row, bins) for row in rows]
-        assert got.tolist() == [_unique_bins(row, bins) for row in rows]
+        assert got.tolist() == [_unique_bins(row) for row in rows]
 
 
-@pytest.mark.parametrize(
-    "xs, bins",
-    [([], 100), (np.empty((0, 4)), 100), (np.empty((3, 0)), 100), ([0.5], 0), ([0.5], -1)],
-)
-def test_bin_coverage_rejects_no_values_and_bins_below_one(xs, bins):
+@pytest.mark.parametrize("xs", [[], np.empty((0, 4)), np.empty((3, 0)), [0.5, 0.25], np.zeros((2, 2, 2))])
+def test_bin_coverage_rejects_no_values_and_other_than_rows(xs):
     with pytest.raises(InvalidInput):
-        bin_coverage(xs, bins)
+        bin_coverage(xs)
 
 
 def test_bifurcation_rejects_bad_specs():
@@ -122,6 +116,55 @@ def test_sweep_spec_rejects_each_bad_field_when_constructed(fields, message):
     with pytest.raises(InvalidInput) as exc:
         SweepSpec(**{**good, **fields})
     assert str(exc.value) == message
+
+
+class _GridOrbitsReached(Exception):
+    pass
+
+
+def _unreachable_grid_orbits(*args, **kwargs):
+    raise _GridOrbitsReached
+
+
+_SWEEP = dict(swept_parameter="b", fixed_value=2.0, range_low=0.0, range_high=4.0,
+              steps=4, iterations=100, transient=10)
+_LANDSCAPE = dict(plaintext=b"grid", a_range=(1.0, 4.0), b_range=(0.1, 4.0), grid_a=3, grid_b=3)
+_GRID_CALLS = {
+    "sweep": lambda **fields: bifurcation_sweep(SweepSpec(**{**_SWEEP, **fields})),
+    "landscape": lambda **fields: fitness_landscape(**{**_LANDSCAPE, **fields}),
+}
+_UNCHECKED_GRID_INPUTS = [
+    ("sweep", {"iterations": 10}),  # iterations == transient
+    ("sweep", {"transient": -1}),
+    ("sweep", {"fixed_value": math.nan}),
+    ("sweep", {"fixed_value": math.inf}),
+    ("sweep", {"range_high": math.nan}),
+    ("sweep", {"range_high": math.inf}),
+    ("sweep", {"range_low": -math.inf}),
+    ("landscape", {"plaintext": b""}),
+    ("landscape", {"plaintext": bytes(5)}),  # all NUL: x0 = mean / sum has no value
+    ("landscape", {"grid_a": 0}),
+    ("landscape", {"grid_b": 0}),
+    ("landscape", {"a_range": (1.0, math.nan)}),
+    ("landscape", {"b_range": (0.1, math.inf)}),
+    ("landscape", {"a_range": (-math.inf, 4.0)}),
+    ("landscape", {"b_range": (-1.7e308, 1.7e308)}),  # high - low overflows
+]
+
+
+@pytest.mark.parametrize(
+    "call, fields",
+    _UNCHECKED_GRID_INPUTS,
+    ids=[f"{c}-{k}={v}" for c, f in _UNCHECKED_GRID_INPUTS for k, v in f.items()],
+)
+def test_grid_inputs_are_checked_before_the_grid_orbits(monkeypatch, call, fields):
+    # chaos._orbits checks nothing itself: every input its checks used to
+    # catch is rejected by the public call before the orbits are stepped.
+    monkeypatch.setattr(chaos, "_orbits", _unreachable_grid_orbits)
+    with pytest.raises(_GridOrbitsReached):  # checked inputs do reach it
+        _GRID_CALLS[call]()
+    with pytest.raises(InvalidInput):
+        _GRID_CALLS[call](**fields)
 
 
 def test_lyapunov_degenerates_to_zero_for_rigid_rotation():

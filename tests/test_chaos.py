@@ -18,7 +18,7 @@ from chaocrypt import (
     derive_initial_state,
     generate_sequence,
 )
-from chaocrypt.chaos import ORBIT_MIN_LANES, TRANSIENT_CHUNK, orbits
+from chaocrypt.chaos import ORBIT_MIN_LANES, TRANSIENT_CHUNK
 
 
 def test_derive_initial_state_uniform_bytes():
@@ -269,8 +269,8 @@ def test_orbit_leaving_the_finite_doubles_raises(params, state, transient):
 
 
 def _lanes(a, b, initial, n, transient):
-    """Every row orbits yields, stacked, and the number of blocks."""
-    blocks = list(orbits(a, b, initial, n, transient))
+    """Every row chaos._orbits yields, stacked, and the number of blocks."""
+    blocks = list(chaos._orbits(a, b, initial, n, transient))
     xs = np.concatenate([block for block, _ in blocks])
     ys = np.concatenate([block for _, block in blocks])
     return xs, ys, len(blocks)
@@ -339,8 +339,8 @@ def test_orbits_with_a_divergent_lane_raise_without_warnings(params, state, tran
 
 
 def test_orbits_reject_bad_counts_as_generate_sequence_does():
+    # chaos._orbits takes its counts from callers that reject them first:
+    # test_analysis.py::test_grid_inputs_are_checked_before_the_grid_orbits.
     for n, transient, message in [(0, 0, "sequence length must be >= 1"), (5, -1, "transient must be >= 0")]:
         with pytest.raises(InvalidInput, match=message):
             generate_sequence(MapParams(2.0, 2.0), MapState(0.1, 0.1), n, transient)
-        with pytest.raises(InvalidInput, match=message):
-            orbits([2.0] * ORBIT_MIN_LANES, 2.0, MapState(0.1, 0.1), n, transient)

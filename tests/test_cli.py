@@ -85,6 +85,25 @@ def test_encrypt_empty_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encrypt", "nul", "--out", "c", "--key-out", "k"],
+        ["encrypt", "nul", "--out", "c", "--key-out", "k", "--skip-ga", "--a", "2.5", "--b", "1.5"],
+        ["analyze", "landscape", "--plaintext", "nul", "--grid-a", "3", "--grid-b", "3", "--out", "g.csv"],
+        ["analyze", "sensitivity", "--plaintext", "nul", "--a", "2.5", "--b", "1.5",
+         "--component", "a", "--epsilon", "1e-15", "--out", "s.csv"],
+    ],
+)
+def test_all_nul_plaintext_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    # x0 = mean / sum of the plaintext bytes has no value when they sum to zero.
+    (tmp_path / "nul").write_bytes(bytes(4))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: plaintext bytes sum to zero\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["nul"]
+
+
 def test_skip_ga_without_params_exits_2(tmp_path, capsys):
     plain = tmp_path / "p"
     plain.write_bytes(b"data")

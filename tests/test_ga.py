@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -282,17 +283,31 @@ def test_evolve_scores_each_distinct_params_once(monkeypatch):
         assert f == fresh.score(MapParams(a, b))
 
 
-def test_evolve_report_is_pinned():
-    report = evolve(PINNED_TEXT, PINNED_CONFIG)
+@pytest.mark.parametrize(
+    "population, history_sha256, best",
+    [
+        (
+            20,  # 4 survivors, 16 children
+            "82cdf454bc40e09f7b7ae1cb29808d977db86556d7a471b39cdbb05eaeb70015",
+            Genome(MapParams(1.6980848541986608, 0.2651081249396358), fitness=95.65217391304348),
+        ),
+        (
+            7,  # 2 survivors, 5 children: the last crossover keeps only its first child
+            "8a82911d09c59c7aa45872d4b25d6f34aba7c561d2ac2b344f580be1d72f035e",
+            Genome(MapParams(2.552634343115085, 1.020619817635221), fitness=95.0),
+        ),
+    ],
+    ids=("population-20", "population-7"),
+)
+def test_evolve_report_is_pinned(population, history_sha256, best):
+    report = evolve(PINNED_TEXT, replace(PINNED_CONFIG, population_size=population))
     digest = hashlib.sha256()
     for rec in report.history:
         for a, b, f in rec.population:
             digest.update(f"{a.hex()} {b.hex()} {f.hex()}\n".encode())
-    assert digest.hexdigest() == "82cdf454bc40e09f7b7ae1cb29808d977db86556d7a471b39cdbb05eaeb70015"
+    assert digest.hexdigest() == history_sha256
     assert report.terminated_by == "generation-cap"
-    assert report.best_genome == Genome(
-        MapParams(1.6980848541986608, 0.2651081249396358), fitness=95.65217391304348
-    )
+    assert report.best_genome == best
 
 
 def test_config_validation():
