@@ -44,7 +44,6 @@ from .ga import (
     EvolutionReport,
     FitnessEvaluator,
     GaConfig,
-    GenerationRecord,
     Genome,
     crossover,
     evolve,

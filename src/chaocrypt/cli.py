@@ -116,8 +116,6 @@ def cmd_encrypt(args) -> int:
     elif args.a is not None or args.b is not None:
         raise InvalidInput("--a and --b are used only with --skip-ga")
     plaintext = _read_bytes(args.plaintext)
-    if len(plaintext) == 0:
-        raise InvalidInput(f"plaintext file is empty: {args.plaintext}")
 
     if args.skip_ga:
         params = MapParams(args.a, args.b)
@@ -140,8 +138,8 @@ def cmd_encrypt(args) -> int:
                 args.report,
                 ("generation", "genome", "a", "b", "fitness"),
                 (
-                    (line, [v for i, genome in enumerate(rec.population) for v in (rec.generation, i, *genome)])
-                    for rec in report.history
+                    (line, [v for i, genome in enumerate(population) for v in (generation, i, *genome)])
+                    for generation, population in enumerate(report.history, 1)
                 ),
             )
 

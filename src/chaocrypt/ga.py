@@ -63,18 +63,11 @@ class GaConfig:
 
 
 @dataclass(frozen=True)
-class GenerationRecord:
-    generation: int
-    max_fitness: float
-    mean_fitness: float
-    population: tuple[tuple[float, float, float], ...]  # (a, b, fitness)
-
-
-@dataclass(frozen=True)
 class EvolutionReport:
     best_genome: Genome
     generations_run: int
-    history: tuple[GenerationRecord, ...]
+    # history[g - 1] holds generation g's (a, b, fitness) rows, in population order.
+    history: tuple[tuple[tuple[float, float, float], ...], ...]
     terminated_by: str
 
 
@@ -188,23 +181,15 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
     scored: dict[tuple[float, float], float] = {}
     rng = random.Random(config.rng_seed)
     population = spawn_population(config, rng)
-    history: list[GenerationRecord] = []
+    history: list[tuple[tuple[float, float, float], ...]] = []
     terminated_by = TERMINATED_BY_CAP
-    generation = 0
 
     for generation in range(1, config.max_generations + 1):
         for pair in population:
             if pair not in scored:
                 scored[pair] = evaluator.score(MapParams(*pair))
         scores = [scored[pair] for pair in population]
-        history.append(
-            GenerationRecord(
-                generation=generation,
-                max_fitness=max(scores),
-                mean_fitness=sum(scores) / len(scores),
-                population=tuple((a, b, f) for (a, b), f in zip(population, scores)),
-            )
-        )
+        history.append(tuple((a, b, f) for (a, b), f in zip(population, scores)))
         hits = sum(1 for s in scores if s >= config.fitness_threshold)
         if hits > config.quorum_fraction * config.population_size:
             terminated_by = TERMINATED_BY_QUORUM
@@ -223,7 +208,7 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
     best = max(scored, key=scored.__getitem__)
     return EvolutionReport(
         best_genome=Genome(MapParams(*best), scored[best]),
-        generations_run=generation,
+        generations_run=len(history),
         history=tuple(history),
         terminated_by=terminated_by,
     )

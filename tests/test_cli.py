@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from chaocrypt import KeyRecord, write_key_file
 from chaocrypt.cli import main
 
 
@@ -71,37 +72,38 @@ def test_encrypt_with_ga_reports_and_reproduces(tmp_path, capsys):
     assert out.read_bytes() == plain.read_bytes()
 
 
-def test_encrypt_empty_file_exits_2(tmp_path, capsys):
-    plain = tmp_path / "empty"
-    plain.write_bytes(b"")
-    rc = main(
-        [
-            "encrypt", str(plain),
-            "--out", str(tmp_path / "c"), "--key-out", str(tmp_path / "k"),
-            "--skip-ga", "--a", "2.0", "--b", "2.0",
-        ]
-    )
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+_PLAINTEXT_ARGVS = (
+    ["encrypt", "plain", "--out", "c", "--key-out", "k"],
+    ["encrypt", "plain", "--out", "c", "--key-out", "k", "--skip-ga", "--a", "2.5", "--b", "1.5"],
+    ["analyze", "landscape", "--plaintext", "plain", "--grid-a", "3", "--grid-b", "3", "--out", "g.csv"],
+    ["analyze", "sensitivity", "--plaintext", "plain", "--a", "2.5", "--b", "1.5",
+     "--component", "a", "--epsilon", "1e-15", "--out", "s.csv"],
+)
+_KEY_ARGV = ["analyze", "sensitivity", "--plaintext", "plain", "--key", "key",
+             "--component", "a", "--epsilon", "1e-15", "--out", "s.csv"]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "content, message, argv",
     [
-        ["encrypt", "nul", "--out", "c", "--key-out", "k"],
-        ["encrypt", "nul", "--out", "c", "--key-out", "k", "--skip-ga", "--a", "2.5", "--b", "1.5"],
-        ["analyze", "landscape", "--plaintext", "nul", "--grid-a", "3", "--grid-b", "3", "--out", "g.csv"],
-        ["analyze", "sensitivity", "--plaintext", "nul", "--a", "2.5", "--b", "1.5",
-         "--component", "a", "--epsilon", "1e-15", "--out", "s.csv"],
+        pytest.param(bytes(4), "plaintext bytes sum to zero", argv, id=f"argv{i}")
+        for i, argv in enumerate(_PLAINTEXT_ARGVS)
+    ]
+    + [
+        pytest.param(b"", "plaintext must be non-empty", argv, id=f"empty-argv{i}")
+        for i, argv in enumerate((*_PLAINTEXT_ARGVS, _KEY_ARGV))
     ],
 )
-def test_all_nul_plaintext_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
-    # x0 = mean / sum of the plaintext bytes has no value when they sum to zero.
-    (tmp_path / "nul").write_bytes(bytes(4))
+def test_all_nul_plaintext_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, content, message, argv):
+    # x0 = mean / sum of the plaintext bytes has no value when they sum to
+    # zero or when there are none.  --key takes x0 from the key file, so only
+    # the empty plaintext fails there.
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "plain").write_bytes(content)
+    write_key_file(KeyRecord(2.5, 1.5, 0.25, 0.5), tmp_path / "key")
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: plaintext bytes sum to zero\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["nul"]
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["key", "plain"]
 
 
 def test_skip_ga_without_params_exits_2(tmp_path, capsys):

@@ -213,14 +213,13 @@ def test_evolve_invariants():
     assert report.terminated_by in ("quorum", "generation-cap")
     assert report.generations_run == len(report.history)
     running_best = -1.0
-    for record in report.history:
-        assert len(record.population) == config.population_size
-        for a, b, f in record.population:
+    for population in report.history:
+        assert len(population) == config.population_size
+        for a, b, f in population:
             assert 1.0 <= a <= 4.0
             assert 0.1 <= b <= 4.0
             assert 0.0 <= f <= 100.0
-        assert record.max_fitness == max(f for _, _, f in record.population)
-        running_best = max(running_best, record.max_fitness)
+            running_best = max(running_best, f)
     assert report.best_genome.fitness == running_best
 
 
@@ -237,8 +236,8 @@ def test_evolve_best_is_first_scored_among_fittest():
     # Three distinct pairs share this run's maximum, first reached in the
     # second generation; the best genome is the first of them in history.
     report = evolve(b"tie break", GaConfig(rng_seed=12, fitness_threshold=100.1, max_generations=6))
-    top = max(rec.max_fitness for rec in report.history)
-    fittest = [(a, b) for rec in report.history for a, b, f in rec.population if f == top]
+    top = max(f for population in report.history for _, _, f in population)
+    fittest = [(a, b) for population in report.history for a, b, f in population if f == top]
     assert len(set(fittest)) >= 2
     assert report.best_genome == Genome(MapParams(*fittest[0]), top)
 
@@ -276,7 +275,7 @@ def test_evolve_scores_each_distinct_params_once(monkeypatch):
 
     assert report.generations_run == 60
     assert set(calls.values()) == {1}
-    seen = {entry for rec in report.history for entry in rec.population}
+    seen = {entry for population in report.history for entry in population}
     assert {(a, b) for a, b, _ in seen} == {(p.a, p.b) for p in calls}
     fresh = FitnessEvaluator(PINNED_TEXT)
     for a, b, f in seen:
@@ -302,8 +301,8 @@ def test_evolve_scores_each_distinct_params_once(monkeypatch):
 def test_evolve_report_is_pinned(population, history_sha256, best):
     report = evolve(PINNED_TEXT, replace(PINNED_CONFIG, population_size=population))
     digest = hashlib.sha256()
-    for rec in report.history:
-        for a, b, f in rec.population:
+    for generation in report.history:
+        for a, b, f in generation:
             digest.update(f"{a.hex()} {b.hex()} {f.hex()}\n".encode())
     assert digest.hexdigest() == history_sha256
     assert report.terminated_by == "generation-cap"
