@@ -7,8 +7,9 @@ values exceed 255 for messages longer than 256 bytes; ciphertext bytes take
 the low 8 bits of the XOR while the optimizer scores the full-width values
 (see ga.fitness).
 
-Ranks tie-break by index and do not depend on the numpy build, although the
-fast path uses numpy's unstable sort (see rank_descending).
+Ranks tie-break by index and do not depend on the numpy build: arrays of up
+to STABLE_SORT_MAX values are sorted stably, and a longer one goes through
+numpy's unstable sort only when it has no ties (see rank_descending).
 
 KeyRecord, the secret key (a, b, x0, y0), checks its fields when it is
 constructed, so encrypt, decrypt and write_key_file never check it again.
@@ -63,6 +64,12 @@ class KeyRecord:
 # KeyRecord's field names in declaration order: the key file's field order.
 KEY_FIELDS = tuple(f.name for f in fields(KeyRecord))
 
+# The longest array rank_descending sorts with one stable argsort.  Near
+# this length a stable argsort of orbit values costs what the unstable sort,
+# its sorted copy and the tie check together cost (numpy 2.4, x86-64 with
+# AVX-512); below it, less.
+STABLE_SORT_MAX = 160
+
 
 def rank_descending(values) -> np.ndarray:
     """Position of each element in the descending sort of `values`.
@@ -70,22 +77,26 @@ def rank_descending(values) -> np.ndarray:
     Ties break stably: among equal values the lower original index gets the
     lower rank.  The result is a permutation of 0..n-1.
 
-    A tie-free array has exactly one descending order, so it is sorted with
-    numpy's fastest (unstable) argsort; only an array with an equal adjacent
-    pair after sorting (-0.0 == 0.0 counts) is sorted again stably.  Either
-    way the ranks are the same on every numpy build.
+    Up to STABLE_SORT_MAX values are sorted with one stable argsort.  A
+    longer array is sorted with numpy's fastest (unstable) argsort, and again
+    stably only if the sorted copy has an equal adjacent pair (-0.0 == 0.0
+    counts): a tie-free array has exactly one descending order.  Either way
+    the ranks are the same on every numpy build.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInput("values must be a non-empty 1-D sequence")
     neg = -arr
-    order = np.argsort(neg)
-    ordered = neg[order]
+    if arr.size <= STABLE_SORT_MAX:
+        order = neg.argsort(kind="stable")
+    else:
+        order = neg.argsort()
+        ordered = neg[order]
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):  # cheaper than .any() at these n
+            order = neg.argsort(kind="stable")
     # NaNs sort last and infinities to the ends, so the ends show any of them.
-    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+    if not (math.isfinite(neg[order[0]]) and math.isfinite(neg[order[-1]])):
         raise InvalidInput("values must be finite")
-    if np.count_nonzero(ordered[1:] == ordered[:-1]):  # cheaper than .any() at small n
-        order = np.argsort(neg, kind="stable")
     ranks = np.empty(arr.size, dtype=np.int64)
     ranks[order] = np.arange(arr.size, dtype=np.int64)
     return ranks

@@ -19,6 +19,7 @@ from chaocrypt import (
     sample_text,
     xor_apply,
 )
+from chaocrypt.cipher import STABLE_SORT_MAX
 from chaocrypt.ga import jaccard_index
 
 
@@ -83,6 +84,42 @@ def test_rank_descending_matches_sorted_oracle():
         distinct = [rng.uniform(-1e6, 1e6) for _ in range(n)]
         for values in (tied, distinct):
             assert rank_descending(values).tolist() == _oracle_ranks(values)
+
+
+# One length below, at and above the longest array sorted stably in one pass.
+BOUNDARY_LENGTHS = (STABLE_SORT_MAX - 1, STABLE_SORT_MAX, STABLE_SORT_MAX + 1)
+
+
+def _boundary_cases(n):
+    rng = random.Random(n)
+    distinct = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    ends = sorted(distinct, reverse=True)
+    ends[1], ends[-2] = ends[0], ends[-1]  # ties at both ends
+    rng.shuffle(ends)
+    return {
+        "signed-zeros": [rng.choice([0.0, -0.0, 0.5]) for _ in range(n)],
+        "repeats": [rng.choice(distinct[:5]) for _ in range(n)],
+        "constant": [0.25] * n,
+        "ties-at-both-ends": ends,
+        "distinct": distinct,
+    }
+
+
+@pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+def test_rank_descending_at_the_stable_sort_boundary(n):
+    for name, values in _boundary_cases(n).items():
+        assert rank_descending(values).tolist() == _oracle_ranks(values), name
+
+
+@pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rank_descending_rejects_non_finite_at_the_stable_sort_boundary(n, bad):
+    for where in (0, n // 2, n - 1):
+        for values in _boundary_cases(n).values():
+            values = list(values)
+            values[where] = bad
+            with pytest.raises(InvalidInput, match="finite"):
+                rank_descending(values)
 
 
 def test_rank_indexes_sorted_copy_back_to_original():

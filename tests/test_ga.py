@@ -95,6 +95,12 @@ def test_score_matches_brute_force_over_full_width_values():
         plaintext = bytes(rng.randrange(1, 256) for _ in range(n))
         params = MapParams(rng.uniform(1.0, 4.0), rng.uniform(0.1, 4.0))
         assert FitnessEvaluator(plaintext).score(params) == _brute_force_score(plaintext, params)
+    # The alphabet's extremes: one symbol, and all 256 byte values above n = 256.
+    for plaintext in (b"\x07" * 37, bytes(range(256)) * 2 + bytes(range(0, 256, 3))):
+        evaluator = FitnessEvaluator(plaintext)
+        for _ in range(10):
+            params = MapParams(rng.uniform(1.0, 4.0), rng.uniform(0.1, 4.0))
+            assert evaluator.score(params) == _brute_force_score(plaintext, params)
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 1024, 1025])
@@ -151,6 +157,19 @@ def test_select_top_puts_best_first():
 def test_select_top_breaks_ties_by_index():
     pop = [(1.0 + i * 0.1, 2.0) for i in range(10)]
     assert select_top(pop, [50.0] * 10, 0.2) == pop[:2]
+
+
+def test_select_top_matches_index_tie_break_key():
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randrange(1, 40)
+        levels = [rng.choice([0.0, 50.0, 95.0, 100.0]) for _ in range(rng.randrange(1, 4))]
+        fitnesses = [rng.choice(levels) for _ in range(n)]
+        pop = [(1.0 + i * 0.01, 2.0) for i in range(n)]
+        fraction = rng.choice([0.2, 0.5, 1.0])
+        order = sorted(range(n), key=lambda i: (-fitnesses[i], i))
+        expect = [pop[i] for i in order[: math.ceil(fraction * n)]]
+        assert select_top(pop, fitnesses, fraction) == expect
 
 
 def test_select_top_rejects_length_mismatch():
