@@ -44,11 +44,9 @@ from .ga import (
     EvolutionReport,
     FitnessEvaluator,
     GaConfig,
-    Genome,
     crossover,
     evolve,
     fitness,
-    jaccard_index,
     mutate,
     select_top,
     spawn_population,

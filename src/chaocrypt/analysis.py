@@ -249,7 +249,7 @@ def length_experiment(lengths, config: GaConfig, trials: int = 1) -> list[Length
                     length=length,
                     trial=trial,
                     generations=report.generations_run,
-                    max_fitness=report.best_genome.fitness,
+                    max_fitness=report.best[2],
                 )
             )
     return results

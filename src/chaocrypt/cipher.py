@@ -55,7 +55,7 @@ class KeyRecord:
             raise InvalidInput(f"parameter a={self.a!r} outside [{A_MIN}, {A_MAX}]")
         if not (B_MIN <= self.b <= B_MAX):
             raise InvalidInput(f"parameter b={self.b!r} outside [{B_MIN}, {B_MAX}]")
-        if not math.isfinite(self.x0) or not (0.0 < self.x0 <= 1.0):
+        if not (0.0 < self.x0 <= 1.0):
             raise InvalidInput(f"x0={self.x0!r} outside (0, 1]")
         if not math.isfinite(self.y0):
             raise InvalidInput("y0 must be finite")

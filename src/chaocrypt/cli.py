@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, ga
-from .chaos import MapParams, MapState, derive_initial_state
+from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, MapParams, MapState, derive_initial_state
 from .cipher import KEY_FIELDS, KeyRecord, encrypt
 from .cipher import decrypt as cipher_decrypt
 from .errors import FormatError, InvalidInput, NumericalError
@@ -125,12 +125,11 @@ def cmd_encrypt(args) -> int:
         print(f"b: {_fmt(params.b)}")
         print(f"fitness: {score:.4f}")
     else:
-        config = _ga_config(args)
-        report = ga.evolve(plaintext, config)
-        params = report.best_genome.params
-        ciphertext, record = encrypt(plaintext, params)
+        report = ga.evolve(plaintext, _ga_config(args))
+        a, b, best_fitness = report.best
+        ciphertext, record = encrypt(plaintext, MapParams(a, b))
         print(f"generations: {report.generations_run}")
-        print(f"best fitness: {report.best_genome.fitness:.4f}")
+        print(f"best fitness: {best_fitness:.4f}")
         print(f"terminated by: {report.terminated_by}")
         if args.report:
             line = f"%d,%d,{_NUM},{_NUM},{_NUM}"
@@ -340,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = ansub.add_parser("landscape", help="fitness over an (a, b) grid")
     p.add_argument("--plaintext", required=True)
-    p.add_argument("--a-range", default="1:4")
-    p.add_argument("--b-range", default="0.1:4")
+    p.add_argument("--a-range", default=f"{A_MIN!r}:{A_MAX!r}")
+    p.add_argument("--b-range", default=f"{B_MIN!r}:{B_MAX!r}")
     p.add_argument("--grid-a", type=int, default=50)
     p.add_argument("--grid-b", type=int, default=50)
     p.add_argument("--out", required=True, help="CSV output path")

@@ -25,14 +25,6 @@ TERMINATED_BY_CAP = "generation-cap"
 
 
 @dataclass(frozen=True)
-class Genome:
-    """The best key of a run with its score (EvolutionReport.best_genome)."""
-
-    params: MapParams
-    fitness: float
-
-
-@dataclass(frozen=True)
 class GaConfig:
     population_size: int = 20
     elite_fraction: float = 0.2
@@ -64,35 +56,30 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class EvolutionReport:
-    best_genome: Genome
+    # The (a, b, fitness) row of the first pair scored among the fittest.
+    best: tuple[float, float, float]
     generations_run: int
     # history[g - 1] holds generation g's (a, b, fitness) rows, in population order.
     history: tuple[tuple[tuple[float, float, float], ...], ...]
     terminated_by: str
 
 
-def jaccard_index(set_a, set_b) -> float:
-    """100 * |A n B| / |A u B| over the distinct values of both inputs."""
-    a = set(set_a)
-    b = set(set_b)
-    if not a and not b:
-        raise InvalidInput("both sets are empty")
-    inter = len(a & b)
-    return 100.0 * inter / (len(a) + len(b) - inter)
-
-
 def fitness(plaintext, ciphertext) -> float:
-    """100 minus the Jaccard index of the two value alphabets.
+    """100 minus the Jaccard index, 100 * |P n C| / |P u C|, of the sets P
+    and C of distinct values in the two inputs.
 
-    `ciphertext` may be bytes or any integer sequence; the optimizer feeds
-    the un-reduced keystream XOR values here, whose set is not capped at 256
-    distinct bytes.
+    `ciphertext` may be bytes or any integer sequence: values past 255, such
+    as the full-width keystream XOR values FitnessEvaluator.score_key counts
+    in tables, stay distinct.
     """
     if len(plaintext) != len(ciphertext):
         raise InvalidInput("plaintext and ciphertext lengths differ")
     if len(plaintext) == 0:
         raise InvalidInput("inputs must be non-empty")
-    return 100.0 - jaccard_index(plaintext, ciphertext)
+    p = set(plaintext)
+    c = set(ciphertext)
+    inter = len(p & c)
+    return 100.0 - 100.0 * inter / (len(p) + len(c) - inter)
 
 
 class FitnessEvaluator:
@@ -104,8 +91,9 @@ class FitnessEvaluator:
     keystream's value set is a boolean table indexed by value: every
     byte ^ rank lies below 2**max(8, bit_length(n - 1)), the table width.
     The intersection is that table gathered at the plaintext's distinct byte
-    values (at most 256); it and the union are the integers jaccard_index
-    counts, in its float expression.
+    values (at most 256); it and the union are the integers `fitness`
+    counts, in its float expression.  `fitness` is the reference definition
+    the table counting is tested against.
     """
 
     def __init__(self, plaintext):
@@ -173,7 +161,7 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
     of random survivor pairs, mutate survivors and offspring alike.
 
     Stops once strictly more than quorum_fraction of a generation scores at
-    least fitness_threshold, or at max_generations.  The returned best genome
+    least fitness_threshold, or at max_generations.  The report's best row
     is the fittest pair ever scored (the first scored among equals), with the
     score it was given.
 
@@ -210,7 +198,7 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
 
     best = max(scored, key=scored.__getitem__)
     return EvolutionReport(
-        best_genome=Genome(MapParams(*best), scored[best]),
+        best=(*best, scored[best]),
         generations_run=len(history),
         history=tuple(history),
         terminated_by=terminated_by,

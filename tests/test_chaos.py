@@ -198,7 +198,7 @@ def test_long_transient_is_not_held_in_memory():
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        generate_sequence(MapParams(2.5, 1.5), MapState(0.1, 0.1), 100, transient=1_000_000)
+        generate_sequence(MapParams(2.5, 1.5), MapState(0.1, 0.1), 100, transient=250_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,7 +20,7 @@ from chaocrypt import (
     xor_apply,
 )
 from chaocrypt.cipher import STABLE_SORT_MAX
-from chaocrypt.ga import jaccard_index
+from chaocrypt.ga import fitness
 
 
 def test_rank_descending_basic():
@@ -259,6 +259,7 @@ def test_decrypt_rejects_bad_keys():
         ({"x0": math.inf, "y0": math.nan}, "x0=inf outside (0, 1]"),
         ({"y0": math.nan}, "y0 must be finite"),
         ({"y0": -math.inf}, "y0 must be finite"),
+        ({"x0": -math.inf}, "x0=-inf outside (0, 1]"),
     ],
 )
 def test_key_record_rejects_each_bad_field_when_constructed(fields, message):
@@ -280,7 +281,7 @@ def test_byte_set_jaccard_regression_at_1000_bytes():
     # Frozen regression: deterministic fixture text, fixed parameters.
     plaintext = sample_text(1000, random.Random(123))
     ciphertext, _ = encrypt(plaintext, MapParams(3.2, 2.5))
-    j = jaccard_index(plaintext, ciphertext)
+    j = 100.0 - fitness(plaintext, ciphertext)
     assert j < 20.0
     assert j == pytest.approx(5.179282868525896, rel=1e-12)
 

@@ -9,7 +9,6 @@ import pytest
 from chaocrypt import (
     FitnessEvaluator,
     GaConfig,
-    Genome,
     InvalidInput,
     MapParams,
     build_keystream,
@@ -18,36 +17,20 @@ from chaocrypt import (
     evolve,
     fitness,
     generate_sequence,
-    jaccard_index,
     mutate,
     select_top,
     spawn_population,
 )
 
 
-def test_jaccard_identical_sets():
-    assert jaccard_index({65}, {65}) == 100.0
-
-
-def test_jaccard_disjoint_sets():
-    assert jaccard_index({65, 66}, {67, 68}) == 0.0
-
-
-def test_jaccard_half_overlap():
-    assert jaccard_index({65, 66, 67}, {66, 67, 68}) == 50.0
-
-
-def test_jaccard_rejects_two_empty_sets():
-    with pytest.raises(InvalidInput):
-        jaccard_index(set(), set())
-
-
 def test_fitness_disjoint_alphabets():
     assert fitness(b"AAA", b"\x00\x00\x00") == 100.0
+    assert fitness(b"ABAB", b"CDCD") == 100.0
 
 
 def test_fitness_identical_inputs_is_zero():
     assert fitness(b"abc", b"abc") == 0.0
+    assert fitness(b"A", b"A") == 0.0
 
 
 def test_fitness_from_jaccard_example():
@@ -57,6 +40,8 @@ def test_fitness_from_jaccard_example():
 def test_fitness_rejects_length_mismatch():
     with pytest.raises(InvalidInput):
         fitness(b"ab", b"abc")
+    with pytest.raises(InvalidInput, match="^inputs must be non-empty$"):
+        fitness(b"", b"")
 
 
 def test_fitness_accepts_values_beyond_bytes():
@@ -116,7 +101,7 @@ def test_score_matches_jaccard_at_table_width_boundaries(n):
         values = [p ^ k for p, k in zip(plaintext, key)]
         score = evaluator.score(params)
         assert type(score) is float
-        assert score == 100.0 - jaccard_index(plaintext, values)
+        assert score == fitness(plaintext, values)
 
 
 def test_spawn_population_ranges_and_size():
@@ -239,7 +224,7 @@ def test_evolve_invariants():
             assert 0.1 <= b <= 4.0
             assert 0.0 <= f <= 100.0
             running_best = max(running_best, f)
-    assert report.best_genome.fitness == running_best
+    assert report.best[2] == running_best
 
 
 def test_evolve_best_genome_score_is_reachable():
@@ -247,18 +232,18 @@ def test_evolve_best_genome_score_is_reachable():
     # must reproduce its recorded fitness exactly.
     plaintext = b"snapshot the winner before anyone mutates it"
     report = evolve(plaintext, GaConfig(rng_seed=12, max_generations=10))
-    evaluator = FitnessEvaluator(plaintext)
-    assert evaluator.score(report.best_genome.params) == report.best_genome.fitness
+    a, b, f = report.best
+    assert FitnessEvaluator(plaintext).score(MapParams(a, b)) == f
 
 
 def test_evolve_best_is_first_scored_among_fittest():
     # Three distinct pairs share this run's maximum, first reached in the
-    # second generation; the best genome is the first of them in history.
+    # second generation; the report's best row is the first of them in history.
     report = evolve(b"tie break", GaConfig(rng_seed=12, fitness_threshold=100.1, max_generations=6))
     top = max(f for population in report.history for _, _, f in population)
     fittest = [(a, b) for population in report.history for a, b, f in population if f == top]
     assert len(set(fittest)) >= 2
-    assert report.best_genome == Genome(MapParams(*fittest[0]), top)
+    assert report.best == (*fittest[0], top)
 
 
 def test_evolve_terminates_by_quorum_when_threshold_is_trivial():
@@ -307,12 +292,12 @@ def test_evolve_scores_each_distinct_params_once(monkeypatch):
         (
             20,  # 4 survivors, 16 children
             "82cdf454bc40e09f7b7ae1cb29808d977db86556d7a471b39cdbb05eaeb70015",
-            Genome(MapParams(1.6980848541986608, 0.2651081249396358), fitness=95.65217391304348),
+            (1.6980848541986608, 0.2651081249396358, 95.65217391304348),
         ),
         (
             7,  # 2 survivors, 5 children: the last crossover keeps only its first child
             "8a82911d09c59c7aa45872d4b25d6f34aba7c561d2ac2b344f580be1d72f035e",
-            Genome(MapParams(2.552634343115085, 1.020619817635221), fitness=95.0),
+            (2.552634343115085, 1.020619817635221, 95.0),
         ),
     ],
     ids=("population-20", "population-7"),
@@ -325,7 +310,7 @@ def test_evolve_report_is_pinned(population, history_sha256, best):
             digest.update(f"{a.hex()} {b.hex()} {f.hex()}\n".encode())
     assert digest.hexdigest() == history_sha256
     assert report.terminated_by == "generation-cap"
-    assert report.best_genome == best
+    assert report.best == best
 
 
 def test_config_validation():
