@@ -5,7 +5,6 @@ from .analysis import (
     DEFAULT_KEYSPACE_RANGES,
     LengthTrialResult,
     LyapunovResult,
-    SweepSpec,
     bifurcation_sweep,
     fitness_landscape,
     keyspace_size,

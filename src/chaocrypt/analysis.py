@@ -45,29 +45,10 @@ def _check_range(low: float, high: float) -> None:
         raise InvalidInput(f"range {low!r}:{high!r} is too wide: high - low overflows a double")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One bifurcation sweep: hold one parameter, step the other."""
-
-    swept_parameter: str  # "a" or "b"
-    fixed_value: float
-    range_low: float
-    range_high: float
-    steps: int
-    iterations: int
-    transient: int
-    initial_state: MapState = DEFAULT_SWEEP_STATE
-
-    def __post_init__(self):
-        if self.swept_parameter not in ("a", "b"):
-            raise InvalidInput("swept_parameter must be 'a' or 'b'")
-        if not math.isfinite(self.fixed_value):
-            raise InvalidInput("fixed_value must be finite")
-        _check_range(self.range_low, self.range_high)
-        if self.steps < 2:
-            raise InvalidInput("steps must be >= 2")
-        if self.transient < 0 or self.iterations <= self.transient:
-            raise InvalidInput("need iterations > transient >= 0")
+def _check_window(iterations: int, transient: int) -> None:
+    """Reject a measurement window unless iterations > transient >= 0."""
+    if transient < 0 or iterations <= transient:
+        raise InvalidInput("need iterations > transient >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,20 +65,38 @@ class LengthTrialResult:
     max_fitness: float
 
 
-def bifurcation_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Asymptotic x-values against the swept parameter.
+def bifurcation_sweep(
+    swept_parameter: str,
+    fixed_value: float,
+    range_low: float,
+    range_high: float,
+    steps: int,
+    iterations: int,
+    transient: int,
+    initial_state: MapState = DEFAULT_SWEEP_STATE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Asymptotic x-values as swept_parameter ("a" or "b") steps from
+    range_low to range_high and the other parameter holds fixed_value.
 
     Returns (values, xs): the `steps` swept parameter values, and xs of shape
     (steps, iterations - transient), row i the post-transient x-values at
     values[i].
     """
-    values = np.linspace(spec.range_low, spec.range_high, spec.steps)
-    m = spec.iterations - spec.transient
-    if spec.swept_parameter == "a":
-        a, b = values, spec.fixed_value
+    if swept_parameter not in ("a", "b"):
+        raise InvalidInput("swept_parameter must be 'a' or 'b'")
+    if not math.isfinite(fixed_value):
+        raise InvalidInput("fixed_value must be finite")
+    _check_range(range_low, range_high)
+    if steps < 2:
+        raise InvalidInput("steps must be >= 2")
+    _check_window(iterations, transient)
+    values = np.linspace(range_low, range_high, steps)
+    m = iterations - transient
+    if swept_parameter == "a":
+        a, b = values, fixed_value
     else:
-        a, b = spec.fixed_value, values
-    xs = np.concatenate([block for block, _ in chaos._orbits(a, b, spec.initial_state, m, spec.transient)])
+        a, b = fixed_value, values
+    xs = np.concatenate([block for block, _ in chaos._orbits(a, b, initial_state, m, transient)])
     return values, xs
 
 
@@ -131,8 +130,7 @@ def lyapunov_spectrum(
     when measurement starts.  The orbit comes from generate_sequence, which
     raises NumericalError if it leaves the finite doubles.
     """
-    if transient < 0 or iterations <= transient:
-        raise InvalidInput("need iterations > transient >= 0")
+    _check_window(iterations, transient)
     a = params.a
     xs, ys = generate_sequence(params, initial, iterations)
     # The Jacobian of step i is taken at the point it starts from: the

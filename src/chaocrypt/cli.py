@@ -165,26 +165,17 @@ def cmd_decrypt(args) -> int:
 
 def cmd_analyze_bifurcation(args) -> int:
     low, high = _parse_range(args.range, 2)
-    spec = analysis.SweepSpec(
-        swept_parameter=args.param,
-        fixed_value=args.fixed,
-        range_low=low,
-        range_high=high,
-        steps=args.steps,
-        iterations=args.iters,
-        transient=args.transient,
-        initial_state=MapState(args.x0, args.y0),
+    values, xs = analysis.bifurcation_sweep(
+        args.param, args.fixed, low, high, args.steps, args.iters, args.transient, MapState(args.x0, args.y0)
     )
-    values, xs = analysis.bifurcation_sweep(spec)
     coverages = analysis.bin_coverage(xs).tolist()
     comment = (
-        f"swept={spec.swept_parameter} fixed={_fmt(spec.fixed_value)} "
-        f"x0={_fmt(spec.initial_state.x)} y0={_fmt(spec.initial_state.y)} "
-        f"iterations={spec.iterations} transient={spec.transient}"
+        f"swept={args.param} fixed={_fmt(args.fixed)} x0={_fmt(args.x0)} y0={_fmt(args.y0)} "
+        f"iterations={args.iters} transient={args.transient}"
     )
     _write_csv(
         args.out,
-        (spec.swept_parameter, "x"),
+        (args.param, "x"),
         ((f"{_fmt(p)},{_NUM}", row.tolist()) for p, row in zip(values.tolist(), xs)),
         comment=comment,
     )
@@ -257,12 +248,12 @@ def cmd_analyze_lengths(args) -> int:
 def cmd_analyze_sensitivity(args) -> int:
     if args.key and (args.a is not None or args.b is not None):
         raise InvalidInput("--a and --b cannot be used with --key")
+    if not args.key and (args.a is None or args.b is None):
+        raise InvalidInput("provide either --key or both --a and --b")
     plaintext = _read_bytes(args.plaintext)
     if args.key:
         key = read_key_file(args.key)
     else:
-        if args.a is None or args.b is None:
-            raise InvalidInput("provide either --key or both --a and --b")
         initial = derive_initial_state(plaintext)
         key = KeyRecord(a=args.a, b=args.b, x0=initial.x, y0=initial.y)
     fraction = analysis.sensitivity_probe(plaintext, key, args.component, args.epsilon)

@@ -17,7 +17,6 @@ from chaocrypt import (
     KeyRecord,
     MapParams,
     MapState,
-    SweepSpec,
     bifurcation_sweep,
     build_keystream,
     decrypt,
@@ -145,11 +144,8 @@ def test_c05_chaos_positivity_on_key_grid():
 def test_c06_bifurcation_density():
     t0 = time.perf_counter()
     worst = 1.0
-    for spec in (
-        SweepSpec("a", 2.0, 1.0, 4.0, steps=100, iterations=2500, transient=500),
-        SweepSpec("b", 2.0, 0.0, 4.0, steps=100, iterations=2500, transient=500),
-    ):
-        _, xs = bifurcation_sweep(spec)
+    for param, low in (("a", 1.0), ("b", 0.0)):
+        _, xs = bifurcation_sweep(param, 2.0, low, 4.0, steps=100, iterations=2500, transient=500)
         worst = min(worst, bin_coverage(xs).min())
     elapsed = time.perf_counter() - t0
     ok = worst >= 0.95 and elapsed < 60.0

@@ -13,7 +13,6 @@ from chaocrypt import (
     MapParams,
     MapState,
     NumericalError,
-    SweepSpec,
     bifurcation_sweep,
     chaos,
     fitness_landscape,
@@ -29,15 +28,13 @@ from chaocrypt.chaos import ORBIT_MIN_LANES
 
 
 def test_bifurcation_row_count():
-    spec = SweepSpec("a", 2.0, 1.0, 4.0, steps=100, iterations=600, transient=500)
-    values, xs = bifurcation_sweep(spec)
+    values, xs = bifurcation_sweep("a", 2.0, 1.0, 4.0, steps=100, iterations=600, transient=500)
     assert values.shape == (100,) and xs.shape == (100, 100)
     assert np.all(xs >= 0.0) and np.all(xs < 1.0)
 
 
 def test_bifurcation_sweep_over_a_is_dense():
-    spec = SweepSpec("a", 2.0, 1.0, 4.0, steps=100, iterations=1500, transient=500)
-    _, xs = bifurcation_sweep(spec)
+    _, xs = bifurcation_sweep("a", 2.0, 1.0, 4.0, steps=100, iterations=1500, transient=500)
     assert np.all(bin_coverage(xs) >= 0.95)
 
 
@@ -45,8 +42,7 @@ def test_bifurcation_sweep_over_b_is_dense():
     # Note: the coverage claim holds on sampled grids, not pointwise; there
     # is a narrow periodic window at exactly (a=2, b=2.5) that 100-point
     # grids over (0, 4) straddle.
-    spec = SweepSpec("b", 2.0, 0.0, 4.0, steps=100, iterations=1500, transient=500)
-    _, xs = bifurcation_sweep(spec)
+    _, xs = bifurcation_sweep("b", 2.0, 0.0, 4.0, steps=100, iterations=1500, transient=500)
     assert np.all(bin_coverage(xs) >= 0.95)
 
 
@@ -82,17 +78,6 @@ def test_bin_coverage_rejects_no_values_and_other_than_rows(xs):
         bin_coverage(xs)
 
 
-def test_bifurcation_rejects_bad_specs():
-    with pytest.raises(InvalidInput):
-        bifurcation_sweep(SweepSpec("c", 2.0, 1.0, 4.0, 10, 100, 0))
-    with pytest.raises(InvalidInput):
-        bifurcation_sweep(SweepSpec("a", 2.0, 4.0, 1.0, 10, 100, 0))
-    with pytest.raises(InvalidInput):
-        bifurcation_sweep(SweepSpec("a", 2.0, 1.0, 4.0, 1, 100, 0))
-    with pytest.raises(InvalidInput):
-        bifurcation_sweep(SweepSpec("a", 2.0, 1.0, 4.0, 10, 100, 100))
-
-
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -114,7 +99,7 @@ def test_sweep_spec_rejects_each_bad_field_when_constructed(fields, message):
     good = dict(swept_parameter="a", fixed_value=2.0, range_low=1.0, range_high=4.0,
                 steps=10, iterations=100, transient=0)
     with pytest.raises(InvalidInput) as exc:
-        SweepSpec(**{**good, **fields})
+        bifurcation_sweep(**{**good, **fields})
     assert str(exc.value) == message
 
 
@@ -130,7 +115,7 @@ _SWEEP = dict(swept_parameter="b", fixed_value=2.0, range_low=0.0, range_high=4.
               steps=4, iterations=100, transient=10)
 _LANDSCAPE = dict(plaintext=b"grid", a_range=(1.0, 4.0), b_range=(0.1, 4.0), grid_a=3, grid_b=3)
 _GRID_CALLS = {
-    "sweep": lambda **fields: bifurcation_sweep(SweepSpec(**{**_SWEEP, **fields})),
+    "sweep": lambda **fields: bifurcation_sweep(**{**_SWEEP, **fields}),
     "landscape": lambda **fields: fitness_landscape(**{**_LANDSCAPE, **fields}),
 }
 _UNCHECKED_GRID_INPUTS = [

@@ -611,6 +611,17 @@ def test_encrypt_non_finite_threshold_exits_2_before_ga(tmp_path, capsys, monkey
                 ("--seed", "5"),
             ]
         ),
+        # analyze sensitivity with neither --key nor both --a and --b
+        (
+            ["analyze", "sensitivity", "--plaintext", "PLAIN", "--a", "3.9", "--component", "a",
+             "--epsilon", "1e-15", "--out", "OUT"],
+            "--key",
+        ),
+        (
+            ["analyze", "sensitivity", "--plaintext", "PLAIN", "--component", "a", "--epsilon", "1e-15",
+             "--out", "OUT"],
+            "--key",
+        ),
     ],
 )
 def test_option_the_mode_does_not_use_exits_2_before_reading_input(tmp_path, capsys, monkeypatch, argv, option):
