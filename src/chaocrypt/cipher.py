@@ -12,7 +12,7 @@ to STABLE_SORT_MAX values are sorted stably, and a longer one goes through
 numpy's unstable sort only when it has no ties (see rank_descending).
 
 KeyRecord, the secret key (a, b, x0, y0), checks its fields when it is
-constructed, so encrypt, decrypt and write_key_file never check it again.
+constructed; decrypt checks only that the key fits the data's length.
 """
 
 from __future__ import annotations
@@ -154,8 +154,13 @@ def encrypt(plaintext, params: MapParams) -> tuple[bytes, KeyRecord]:
 
 
 def decrypt(ciphertext, key: KeyRecord) -> bytes:
-    """Rebuild the keystream from the key record and undo the XOR."""
+    """Rebuild the keystream from the key record and undo the XOR.
+
+    x0 is 1/len(plaintext) to within an ulp, so the key names its message's
+    length and data of any other length is refused; x0 <= 1 keeps it >= 1.
+    """
     data = bytes(ciphertext)
-    if len(data) == 0:
-        raise InvalidInput("ciphertext must be non-empty")
+    n = 1.0 / key.x0
+    if not math.isfinite(n) or len(data) != round(n):
+        raise InvalidInput(f"data is {len(data)} bytes but the key is for a {n:.0f}-byte message")
     return xor_apply(data, build_keystream(MapParams(key.a, key.b), MapState(key.x0, key.y0), len(data)))

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 internal numerical error.
 Ciphertext files are raw bytes, exactly as long as the plaintext; all secret
-material travels in the key file.  `encrypt` writes the key before the
-ciphertext, each through a temp file renamed into place, so a failed run
-never leaves a ciphertext without its key.
+material travels in the key file.  Every file `encrypt` and `decrypt` write
+goes through a temp file renamed into place, the key before the ciphertext,
+so a failed run leaves no half-written file and no ciphertext without its key.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def _write_atomic(path, write) -> None:
     try:
         write(tmp)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 # GaConfig field -> (its flag, its type).  The flags default to None, so a
@@ -149,17 +150,8 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     key = read_key_file(args.key)
-    ciphertext = _read_bytes(args.ciphertext)
-    # x0 is 1/len(plaintext) to within an ulp, so the key names the length
-    # of the message it was made for; x0 <= 1 makes that length >= 1, so an
-    # empty ciphertext fails here too.
-    n = 1.0 / key.x0
-    if not math.isfinite(n) or len(ciphertext) != round(n):
-        raise InvalidInput(
-            f"{args.ciphertext}: ciphertext is {len(ciphertext)} bytes but the key "
-            f"is for a {n:.0f}-byte message"
-        )
-    Path(args.out).write_bytes(cipher_decrypt(ciphertext, key))
+    plaintext = cipher_decrypt(_read_bytes(args.ciphertext), key)
+    _write_atomic(args.out, lambda tmp: tmp.write_bytes(plaintext))
     return 0
 
 

@@ -302,6 +302,13 @@ def test_sensitivity_rejects_out_of_range_perturbation():
         sensitivity_probe(plaintext, key, "a", 0.5)  # a leaves [1, 4]
 
 
+def test_sensitivity_refuses_a_plaintext_its_key_was_not_made_for():
+    plaintext = sample_text(60, random.Random(8))
+    key = KeyRecord(2.5, 1.5, 1.0 / 28, 1.0 - 1.0 / 28)
+    with pytest.raises(InvalidInput, match="^data is 60 bytes but the key is for a 28-byte message$"):
+        sensitivity_probe(plaintext, key, "a", 1e-15)
+
+
 def test_sensitivity_detects_parameter_nudges():
     plaintext = sample_text(1000, random.Random(9))
     key = KeyRecord(3.1, 2.2, 0.001, 0.999)

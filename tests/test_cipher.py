@@ -240,6 +240,16 @@ def test_decrypt_rejects_bad_keys():
         decrypt(b"", KeyRecord(a=2.0, b=1.0, x0=0.5, y0=0.5))
 
 
+@pytest.mark.parametrize("length", [27, 29, 0], ids=["one-short", "one-long", "empty"])
+def test_decrypt_refuses_data_of_a_length_its_key_does_not_name(length):
+    # x0 = 1/len(plaintext), so a key names the length of its message.
+    ciphertext, record = encrypt(b"twenty-eight bytes of secret", MapParams(2.5, 1.5))
+    assert len(ciphertext) == 28
+    with pytest.raises(InvalidInput) as exc:
+        decrypt((ciphertext * 2)[:length], record)
+    assert str(exc.value) == f"data is {length} bytes but the key is for a 28-byte message"
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [

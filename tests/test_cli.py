@@ -210,6 +210,62 @@ def test_decrypt_rejects_truncated_ciphertext(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_decrypt_write_cut_short_leaves_no_output(tmp_path):
+    # A file size limit makes the plaintext write fail part way; the run
+    # must leave neither --out nor its temp file behind.
+    import os
+    import random
+
+    resource = pytest.importorskip("resource")
+    from chaocrypt import MapParams, encrypt
+
+    limit = 4096
+    ciphertext, record = encrypt(random.Random(3).randbytes(4 * limit), MapParams(2.5, 1.5))
+    (tmp_path / "c").write_bytes(ciphertext)
+    write_key_file(record, tmp_path / "k")
+
+    def cap_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "chaocrypt.cli", "decrypt", "c", "--key", "k", "--out", "o"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=cap_file_size,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "k"]
+
+
+def test_sensitivity_with_a_key_for_another_length_exits_2(tmp_path, capsys):
+    _, keyfile = _skip_ga_encrypt(tmp_path, b"twenty-eight bytes of secret")
+    probe, out = tmp_path / "q", tmp_path / "s.csv"
+    probe.write_bytes(bytes(range(65, 125)))
+    capsys.readouterr()
+    argv = ["analyze", "sensitivity", "--plaintext", str(probe), "--key", str(keyfile),
+            "--component", "a", "--epsilon", "1e-15", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: data is 60 bytes but the key is for a 28-byte message\n"
+    assert not out.exists()
+
+
+def test_sensitivity_nudge_of_x0_that_changes_the_named_length_exits_2(tmp_path, capsys):
+    # round(1 / (0.001 + 1e-6)) = 999, so the nudged key names another length.
+    plain, keyfile, out = tmp_path / "p", tmp_path / "k", tmp_path / "s.csv"
+    plain.write_bytes(bytes(range(1, 201)) * 5)
+    write_key_file(KeyRecord(2.5, 1.5, 0.001, 0.999), keyfile)
+    argv = ["analyze", "sensitivity", "--plaintext", str(plain), "--key", str(keyfile),
+            "--component", "x0", "--epsilon", "1e-6", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: data is 1000 bytes but the key is for a 999-byte message\n"
+    assert not out.exists()
+    argv[argv.index("1e-6")] = "1e-15"
+    assert main(argv) == 0
+
+
 def _ga_encrypt_argv(tmp_path, out, key_out):
     plain = tmp_path / "p"
     plain.write_bytes(b"a message whose key search must not start")

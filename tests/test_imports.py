@@ -1,8 +1,9 @@
-"""Every name a chaocrypt module imports is used in that module.
+"""Every name a chaocrypt module imports is used in that module, and every
+private module-level name is used somewhere in the package.
 
 No linter ships with the test dependencies, so this walks each module's
-syntax tree instead.  `__init__.py` is skipped: its imports are the
-package's public re-exports.
+syntax tree instead.  `__init__.py` is skipped by the import check: its
+imports are the package's public re-exports.
 """
 
 import ast
@@ -13,8 +14,12 @@ import chaocrypt
 PACKAGE = Path(chaocrypt.__file__).parent
 
 
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def _unused_imports(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _tree(path)
     imported: dict[str, int] = {}  # bound name -> line of its import
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -27,8 +32,53 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"chaocrypt.{path.stem}:{line}:{name}" for name, line in imported.items() if name not in used]
 
 
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each function, class or constant the module body
+    defines under a name with one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _unreferenced_private_names(paths: list[Path]) -> list[str]:
+    trees = {path: _tree(path) for path in paths}
+    references: dict[str, list[tuple[Path, int]]] = {}  # name -> where it is read
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                references.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append((path, node.lineno))
+    dead = []
+    for path, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            # A use inside the definition itself (recursion) does not count.
+            outside = [
+                (where, line) for where, line in references.get(name, [])
+                if where != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside:
+                dead.append(f"chaocrypt.{path.stem}:{node.lineno}:{name}")
+    return dead
+
+
 def test_every_module_uses_each_name_it_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_every_private_module_level_name_is_used():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    dead = _unreferenced_private_names(modules)
+    assert not dead, "private and never used:\n" + "\n".join(dead)
