@@ -142,8 +142,11 @@ def lyapunov_spectrum(
         cos_2pi_y = np.cos(TWO_PI * y)
     else:
         cos_2pi_y = np.array([math.cos(v) for v in (TWO_PI * y).tolist()])
-    j12s = (TWO_PI * a * cos_2pi_y).tolist()
-    j21s = (-2.0 * a * x).tolist()
+    # An entry that overflows or turns NaN needs no warning: the frame
+    # check below finds the non-finite stretch it causes.
+    with np.errstate(all="ignore"):
+        j12s = (TWO_PI * a * cos_2pi_y).tolist()
+        j21s = (-2.0 * a * x).tolist()
     hypot, log, inf = math.hypot, math.log, math.inf
     v1x, v1y = 1.0, 0.0
     v2x, v2y = 0.0, 1.0

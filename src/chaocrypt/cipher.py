@@ -9,7 +9,7 @@ the low 8 bits of the XOR while the optimizer scores the full-width values
 
 Ranks tie-break by index and do not depend on the numpy build: arrays of up
 to STABLE_SORT_MAX values are sorted stably, and a longer one goes through
-numpy's unstable sort only when it has no ties (see rank_descending).
+numpy's unstable sort only when it has no ties (see _descending_order).
 
 KeyRecord, the secret key (a, b, x0, y0), checks its fields when it is
 constructed; decrypt checks only that the key fits the data's length.
@@ -18,6 +18,7 @@ constructed; decrypt checks only that the key fits the data's length.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -64,11 +65,36 @@ class KeyRecord:
 # KeyRecord's field names in declaration order: the key file's field order.
 KEY_FIELDS = tuple(f.name for f in fields(KeyRecord))
 
-# The longest array rank_descending sorts with one stable argsort.  Near
+# The longest array _descending_order sorts with one stable argsort.  Near
 # this length a stable argsort of orbit values costs what the unstable sort,
 # its sorted copy and the tie check together cost (numpy 2.4, x86-64 with
 # AVX-512); below it, less.
 STABLE_SORT_MAX = 160
+
+
+def _descending_order(arr: np.ndarray) -> np.ndarray:
+    """Indices that sort the 1-D float64 `arr` in descending order, equal
+    values in index order; raises InvalidInput unless every value is finite.
+
+    Up to STABLE_SORT_MAX values are sorted with one stable argsort.  A
+    longer array is sorted with numpy's fastest (unstable) argsort, reversed,
+    and again stably only if the sorted values hold an equal adjacent pair
+    (-0.0 == 0.0 counts): a tie-free array has exactly one descending order.
+    Either way the order is the same on every numpy build.  The sorted copy
+    and the tie mask die when it returns, so a caller that allocates its
+    output after the call never holds both.
+    """
+    if arr.size <= STABLE_SORT_MAX:
+        order = (-arr).argsort(kind="stable")
+    else:
+        order = arr.argsort()[::-1]
+        ordered = arr[order]
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):  # cheaper than .any() at these n
+            order = (-arr).argsort(kind="stable")
+    # NaNs and infinities sort to the ends, so the ends show any of them.
+    if not (math.isfinite(arr[order[0]]) and math.isfinite(arr[order[-1]])):
+        raise InvalidInput("values must be finite")
+    return order
 
 
 def rank_descending(values) -> np.ndarray:
@@ -76,27 +102,11 @@ def rank_descending(values) -> np.ndarray:
 
     Ties break stably: among equal values the lower original index gets the
     lower rank.  The result is a permutation of 0..n-1.
-
-    Up to STABLE_SORT_MAX values are sorted with one stable argsort.  A
-    longer array is sorted with numpy's fastest (unstable) argsort, and again
-    stably only if the sorted copy has an equal adjacent pair (-0.0 == 0.0
-    counts): a tie-free array has exactly one descending order.  Either way
-    the ranks are the same on every numpy build.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInput("values must be a non-empty 1-D sequence")
-    neg = -arr
-    if arr.size <= STABLE_SORT_MAX:
-        order = neg.argsort(kind="stable")
-    else:
-        order = neg.argsort()
-        ordered = neg[order]
-        if np.count_nonzero(ordered[1:] == ordered[:-1]):  # cheaper than .any() at these n
-            order = neg.argsort(kind="stable")
-    # NaNs sort last and infinities to the ends, so the ends show any of them.
-    if not (math.isfinite(neg[order[0]]) and math.isfinite(neg[order[-1]])):
-        raise InvalidInput("values must be finite")
+    order = _descending_order(arr)
     ranks = np.empty(arr.size, dtype=np.int64)
     ranks[order] = np.arange(arr.size, dtype=np.int64)
     return ranks
@@ -133,9 +143,17 @@ def xor_apply(data, key) -> bytes:
 
 def keystream_from_orbit(xs, ys) -> np.ndarray:
     """The key array K = S_y[S_x] of one orbit's x and y sequences."""
-    # Ranks are permutations by construction; compose_key's checks are for
-    # arrays from outside the package.
-    return rank_descending(ys)[rank_descending(xs)]
+    # S_x[order_x[j]] = j, so K[order_x[j]] = S_y[j]: scattering S_y through
+    # x's descending order composes the two ranks without making S_x.  K is
+    # allocated after the sort, which keeps a build at 41 bytes per point.
+    s_y = rank_descending(ys)
+    x = np.asarray(xs, dtype=np.float64)
+    if x.shape != s_y.shape:
+        raise InvalidInput("xs and ys must be 1-D and of equal length")
+    order_x = _descending_order(x)
+    key = np.empty_like(s_y)
+    key[order_x] = s_y
+    return key
 
 
 def build_keystream(params: MapParams, initial: MapState, n: int) -> np.ndarray:
@@ -158,9 +176,14 @@ def decrypt(ciphertext, key: KeyRecord) -> bytes:
 
     x0 is 1/len(plaintext) to within an ulp, so the key names its message's
     length and data of any other length is refused; x0 <= 1 keeps it >= 1.
+    An x0 so small that 1/x0 passes sys.maxsize names no length at all.
     """
     data = bytes(ciphertext)
     n = 1.0 / key.x0
-    if not math.isfinite(n) or len(data) != round(n):
-        raise InvalidInput(f"data is {len(data)} bytes but the key is for a {n:.0f}-byte message")
+    if not n <= sys.maxsize:  # also true for an infinite n
+        raise InvalidInput(f"the key's x0={key.x0!r} names no possible message length")
+    length = round(n)
+    if len(data) != length:
+        unit = "byte" if len(data) == 1 else "bytes"
+        raise InvalidInput(f"data is {len(data)} {unit} but the key is for a {length}-byte message")
     return xor_apply(data, build_keystream(MapParams(key.a, key.b), MapState(key.x0, key.y0), len(data)))

@@ -99,7 +99,8 @@ class FitnessEvaluator:
     def __init__(self, plaintext):
         data = bytes(plaintext)
         self.initial = derive_initial_state(data)
-        self._bytes = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+        # uint8 ^ int64 key values is int64: the table index needs no wider copy.
+        self._bytes = np.frombuffer(data, dtype=np.uint8)
         self.n = len(data)
         self._width = 1 << max(8, (self.n - 1).bit_length())
         # Not np.unique: its first call costs about 18 ms and 1.7 MB of RSS.

@@ -228,6 +228,13 @@ def test_lyapunov_rejects_orbit_leaving_the_finite_doubles():
         lyapunov_spectrum(MapParams(1.0, 1.0), MapState(0.1, 1e308), 50, 10)
 
 
+def test_lyapunov_rejects_a_frame_that_degenerates_without_warnings():
+    # The orbit stays finite, but -2 * a overflows and times x = 0.0 is NaN:
+    # the frame check, not a numpy warning, reports it.
+    with pytest.raises(NumericalError, match="^tangent frame degenerated$"):
+        lyapunov_spectrum(MapParams(1e308, 0.5), MapState(0.0, 0.25), 10, 2)
+
+
 def test_lyapunov_exponents_sorted_descending():
     rng = random.Random(0)
     for _ in range(10):

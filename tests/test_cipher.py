@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from chaocrypt import (
     sample_text,
     xor_apply,
 )
-from chaocrypt.cipher import STABLE_SORT_MAX
+from chaocrypt.cipher import STABLE_SORT_MAX, keystream_from_orbit
 from chaocrypt.ga import fitness
 
 
@@ -250,6 +251,21 @@ def test_decrypt_refuses_data_of_a_length_its_key_does_not_name(length):
     assert str(exc.value) == f"data is {length} bytes but the key is for a 28-byte message"
 
 
+def test_decrypt_says_byte_for_one_byte_of_data():
+    _, record = encrypt(b"twenty-eight bytes of secret", MapParams(2.5, 1.5))
+    with pytest.raises(InvalidInput) as exc:
+        decrypt(b"x", record)
+    assert str(exc.value) == "data is 1 byte but the key is for a 28-byte message"
+
+
+@pytest.mark.parametrize("x0", [1e-300, 5e-324])
+def test_decrypt_refuses_a_key_whose_x0_names_no_possible_length(x0):
+    # 1/x0 is a 301-digit number for 1e-300 and infinite for 5e-324.
+    with pytest.raises(InvalidInput) as exc:
+        decrypt(b"x", KeyRecord(2.5, 1.5, x0, 0.5))
+    assert str(exc.value) == f"the key's x0={x0!r} names no possible message length"
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -324,3 +340,69 @@ def test_keystream_permutation_invariants():
         assert sorted(key.tolist()) == expect
         assert key.tolist() == [s_y[i] for i in s_x]
         assert key.tolist() == compose_key(s_x, s_y).tolist()
+
+
+# One length, the stable sort's boundary, a landscape row and a bulk message.
+KEYSTREAM_LENGTHS = (1, STABLE_SORT_MAX - 1, STABLE_SORT_MAX, STABLE_SORT_MAX + 1, 999, 1 << 18)
+
+
+def _keystream_axes(n):
+    """Orbit axes and tied arrays of length n, each forcing the stable sort
+    on its own: repeats, signed zeros, and ties at both ends."""
+    rng = np.random.default_rng(n)
+    xs, ys = generate_sequence(MapParams(2.5, 1.5), MapState(1 / n, 1 - 1 / n), n)
+    ends = rng.uniform(-1.0, 1.0, n)
+    order = ends.argsort()
+    ends[order[:2]], ends[order[-2:]] = ends[order[0]], ends[order[-1]]
+    return [
+        np.asarray(xs),
+        np.asarray(ys),
+        rng.choice(rng.uniform(-1.0, 1.0, 5), n),
+        rng.choice([0.0, -0.0, 0.5], n),
+        ends,
+    ]
+
+
+@pytest.mark.parametrize("n", KEYSTREAM_LENGTHS)
+def test_keystream_from_orbit_is_the_composed_ranks_bit_for_bit(n):
+    axes = _keystream_axes(n)
+    for i, xs in enumerate(axes):
+        ys = axes[1] if i == 0 else axes[(i + 1) % len(axes)]
+        key = keystream_from_orbit(xs, ys)
+        expect = compose_key(rank_descending(xs), rank_descending(ys))
+        assert key.dtype == expect.dtype == np.int64
+        assert key.tobytes() == expect.tobytes(), i
+
+
+@pytest.mark.parametrize("n", KEYSTREAM_LENGTHS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_keystream_from_orbit_rejects_non_finite_on_either_axis(n, bad):
+    xs, ys = _keystream_axes(n)[:2]
+    for where in sorted({0, n // 2, n - 1}):
+        for axis in (0, 1):
+            pair = [xs.copy(), ys.copy()]
+            pair[axis][where] = bad
+            with pytest.raises(InvalidInput, match="^values must be finite$"):
+                keystream_from_orbit(*pair)
+
+
+@pytest.mark.parametrize("xs, ys", [([0.1, 0.2], [0.3]), ([0.1], [0.3, 0.2]), ([[0.1, 0.2]], [0.3, 0.2])])
+def test_keystream_from_orbit_rejects_axes_of_other_shapes(xs, ys):
+    with pytest.raises(InvalidInput, match="^xs and ys must be 1-D and of equal length$"):
+        keystream_from_orbit(xs, ys)
+
+
+def test_keystream_build_peaks_at_41_bytes_per_point():
+    # The orbit's two buffers (16 B per point), S_y, and x's descending
+    # order with its sorted values and tie mask: no rank temporaries.
+    n = 1 << 18
+    params, initial = MapParams(2.5, 1.5), MapState(1 / n, 1 - 1 / n)
+    build_keystream(params, initial, 1000)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        build_keystream(params, initial, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42 * n

@@ -534,6 +534,17 @@ def test_analyze_range_wider_than_a_double_exits_2_without_warnings(tmp_path, ca
     assert not out.exists()
 
 
+def test_analyze_lyapunov_with_a_degenerate_frame_exits_3_without_warnings(capsys):
+    argv = ["analyze", "lyapunov", "--a", "1e308", "--b", "0.5", "--x0", "0", "--y0", "0.25",
+            "--iters", "10", "--transient", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert caught == []
+    assert rc == 3
+    assert capsys.readouterr() == ("", "numerical error: tangent frame degenerated\n")
+
+
 def test_analyze_lyapunov_prints_positive_exponent(tmp_path, capsys):
     rc = main(["analyze", "lyapunov", "--a", "2", "--b", "2"])
     assert rc == 0

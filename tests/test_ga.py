@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -102,6 +103,27 @@ def test_score_matches_jaccard_at_table_width_boundaries(n):
         score = evaluator.score(params)
         assert type(score) is float
         assert score == fitness(plaintext, values)
+
+
+def test_score_holds_the_plaintext_once_and_peaks_at_the_keystream_build():
+    # The evaluator keeps the plaintext as uint8 over the caller's bytes; a
+    # score peaks in build_keystream (41 B per point), and its XOR values
+    # and table come after the orbit is gone.
+    n = 1 << 18
+    plaintext = random.Random(9).randbytes(n)
+    FitnessEvaluator(plaintext[:1000]).score(MapParams(2.5, 1.5))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        evaluator = FitnessEvaluator(plaintext)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluator.score(MapParams(2.5, 1.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * n
+    assert peak <= 43 * n
 
 
 def test_spawn_population_ranges_and_size():
