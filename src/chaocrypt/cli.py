@@ -2,9 +2,14 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 internal numerical error.
 Ciphertext files are raw bytes, exactly as long as the plaintext; all secret
-material travels in the key file.  Every file `encrypt` and `decrypt` write
-goes through a temp file renamed into place, the key before the ciphertext,
-so a failed run leaves no half-written file and no ciphertext without its key.
+material travels in the key file.  Every file a command writes is made by
+`keyfile.write_atomic`, mode 0600, and renamed into place: `encrypt`'s
+`--report` CSV, then its key file, then its ciphertext; `decrypt`'s
+plaintext; the CSV of `analyze bifurcation`, `landscape` and `lengths`, and
+of `lyapunov` and `sensitivity` given `--out` (`keyspace` writes none).  So
+a failed run leaves no half-written file and no ciphertext without its key.
+An existing output that is not a regular file is refused before any input
+is read.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, MapParams, MapState, derive_initi
 from .cipher import KEY_FIELDS, KeyRecord, encrypt
 from .cipher import decrypt as cipher_decrypt
 from .errors import FormatError, InvalidInput, NumericalError
-from .keyfile import read_key_file, write_key_file
+from .keyfile import read_key_file, write_atomic, write_key_file
 
 
 # The printf form of every number the CLI writes in full: 17 significant
@@ -45,12 +50,14 @@ def _write_csv(path, header, blocks, comment: str | None = None) -> None:
     stays bounded by a block.  Every field is a number or a fixed name, so
     nothing is quoted; lines end in LF.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def chunks():
         if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
+            yield f"# {comment}\n".encode()
+        yield (",".join(header) + "\n").encode()
         for line, values in blocks:
-            fh.write((line + "\n") * (len(values) // line.count("%")) % tuple(values))
+            yield ((line + "\n") * (len(values) // line.count("%")) % tuple(values)).encode()
+
+    write_atomic(path, chunks())
 
 
 def _parse_range(text: str, parts: int):
@@ -65,19 +72,6 @@ def _parse_range(text: str, parts: int):
 
 def _read_bytes(path) -> bytes:
     return Path(path).read_bytes()
-
-
-def _write_atomic(path, write) -> None:
-    """Call write(tmp) on a temp path in path's directory, then rename it
-    over path, so path is never seen half written."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # GaConfig field -> (its flag, its type).  The flags default to None, so a
@@ -126,7 +120,8 @@ def cmd_encrypt(args) -> int:
         print(f"b: {_fmt(params.b)}")
         print(f"fitness: {score:.4f}")
     else:
-        report = ga.evolve(plaintext, _ga_config(args))
+        config = _ga_config(args)
+        report = ga.evolve(plaintext, config)
         a, b, best_fitness = report.best
         ciphertext, record = encrypt(plaintext, MapParams(a, b))
         print(f"generations: {report.generations_run}")
@@ -143,15 +138,18 @@ def cmd_encrypt(args) -> int:
                 ),
             )
 
-    _write_atomic(args.key_out, lambda tmp: write_key_file(record, tmp))
-    _write_atomic(args.out, lambda tmp: tmp.write_bytes(ciphertext))
+    write_key_file(record, args.key_out)
+    write_atomic(args.out, [ciphertext])
+    if not args.skip_ga and args.rng_seed is None:
+        print(f"warning: no --seed given: every such run spawns the same {config.population_size} (a, b) pairs "
+              f"(seed {config.rng_seed}), and a message of 300 bytes or more usually keeps one of them", file=sys.stderr)
     return 0
 
 
 def cmd_decrypt(args) -> int:
     key = read_key_file(args.key)
     plaintext = cipher_decrypt(_read_bytes(args.ciphertext), key)
-    _write_atomic(args.out, lambda tmp: tmp.write_bytes(plaintext))
+    write_atomic(args.out, [plaintext])
     return 0
 
 
@@ -370,7 +368,8 @@ def _file_id(path):
 
 
 def _check_outputs(args) -> None:
-    """Reject an output whose directory is missing, that is a directory, or
+    """Reject an output whose directory is missing, that is a directory or
+    another existing file that is not a regular file (a FIFO, a device), or
     that names the same file as an input or another output, before any input
     is read.  Inputs are named as on the command line: a positional's name or
     an option's flag."""
@@ -388,6 +387,8 @@ def _check_outputs(args) -> None:
             raise InvalidInput(f"{path}: directory {str(path.parent)!r} does not exist")
         if path.is_dir():
             raise InvalidInput(f"{path}: is a directory")
+        if path.exists() and not path.is_file():
+            raise InvalidInput(f"{path}: is not a regular file")
         first = seen.setdefault(_file_id(path), flag)
         if first != flag:
             raise InvalidInput(f"{first} and {flag} are the same file: {path}")

@@ -12,7 +12,9 @@ double or the file is rejected.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 from .cipher import KEY_FIELDS, KeyRecord
@@ -33,13 +35,30 @@ def hex_to_float(s: str) -> float:
     return struct.unpack(">d", raw)[0]
 
 
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a new temp file in path's directory and
+    rename it over path, so path is never seen half written; on any failure
+    the temp is removed.  mkstemp makes the temp exclusively (never through
+    a planted link), mode 0600, under a name no one can guess, and the
+    rename keeps that mode: every file the package writes is made here."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with open(fd, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_key_file(key: KeyRecord, path) -> None:
     lines = [f"version = {FORMAT_VERSION}"]
     for name in KEY_FIELDS:
         v = float(getattr(key, name))
         lines.append(f"{name}.dec = {v:.17g}")
         lines.append(f"{name}.hex = {float_to_hex(v)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
 def read_key_file(path) -> KeyRecord:

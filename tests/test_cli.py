@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -211,9 +213,12 @@ def test_decrypt_rejects_truncated_ciphertext(tmp_path, capsys):
 
 
 def test_decrypt_write_cut_short_leaves_no_output(tmp_path):
-    # A file size limit makes the plaintext write fail part way; the run
-    # must leave neither --out nor its temp file behind.
-    import os
+    # A file size limit makes an output write fail part way; the run must
+    # leave neither that output nor its temp file behind.  Each row is a
+    # command whose output outgrows the limit, and the inputs it reads:
+    # decrypt's plaintext, encrypt's --report (written before the key and
+    # the ciphertext, 8 capped generations of 20 rows) and a 2,000-row
+    # bifurcation CSV.
     import random
 
     resource = pytest.importorskip("resource")
@@ -221,23 +226,140 @@ def test_decrypt_write_cut_short_leaves_no_output(tmp_path):
 
     limit = 4096
     ciphertext, record = encrypt(random.Random(3).randbytes(4 * limit), MapParams(2.5, 1.5))
-    (tmp_path / "c").write_bytes(ciphertext)
-    write_key_file(record, tmp_path / "k")
+    rows = {
+        "decrypt": (["decrypt", "c", "--key", "k", "--out", "o"], ["c", "k"]),
+        "encrypt-report": (
+            ["encrypt", "p", "--out", "c", "--key-out", "k", "--report", "r.csv",
+             "--seed", "1", "--threshold", "100.5", "--max-generations", "8"],
+            ["p"],
+        ),
+        "bifurcation": (
+            ["analyze", "bifurcation", "--param", "a", "--fixed", "2", "--range", "1:4", "--steps", "20",
+             "--out", "b.csv"],
+            [],
+        ),
+    }
 
     def cap_file_size():
         resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 
-    proc = subprocess.run(
-        [sys.executable, "-B", "-m", "chaocrypt.cli", "decrypt", "c", "--key", "k", "--out", "o"],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        preexec_fn=cap_file_size,
-        capture_output=True,
-        text=True,
+    write_key_file(record, tmp_path / "k")
+    contents = {"c": ciphertext, "k": (tmp_path / "k").read_bytes(), "p": random.Random(4).randbytes(64)}
+    for name, (argv, inputs) in rows.items():
+        work = tmp_path / name
+        work.mkdir()
+        for input_ in inputs:
+            (work / input_).write_bytes(contents[input_])
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "chaocrypt.cli", *argv],
+            cwd=work,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            preexec_fn=cap_file_size,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, name
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, name
+        assert "File too large" in proc.stderr, name
+        assert sorted(p.name for p in work.iterdir()) == inputs, name
+
+
+def test_every_output_is_created_0600(tmp_path, capsys, monkeypatch):
+    # The key file holds the secret; no output is readable by others, also
+    # under a umask that would leave a file world-readable, and also where
+    # the output already exists with a wider mode.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p").write_bytes(b"a message written under umask 022 " * 3)
+    (tmp_path / "o").write_bytes(b"an older plaintext")
+    (tmp_path / "o").chmod(0o644)
+    old = os.umask(0o022)
+    try:
+        assert main(["encrypt", "p", "--out", "c", "--key-out", "k", "--report", "r.csv",
+                     "--seed", "3", "--max-generations", "2"]) == 0
+        assert main(["decrypt", "c", "--key", "k", "--out", "o"]) == 0
+        assert main(["analyze", "bifurcation", "--param", "a", "--fixed", "2", "--range", "1:4",
+                     "--steps", "2", "--out", "b.csv"]) == 0
+        write_key_file(KeyRecord(2.5, 1.5, 0.25, 0.5), tmp_path / "lib.key")
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("k", "c", "r.csv", "o", "b.csv", "lib.key")}
+    assert modes == dict.fromkeys(modes, 0o600)
+    assert (tmp_path / "o").read_bytes() == (tmp_path / "p").read_bytes()
+
+
+def test_a_link_at_an_output_or_its_old_temp_name_is_never_written_through(tmp_path, capsys):
+    # The temp names were once .NAME.PID.tmp; a link planted there, or an
+    # output that is itself a link, must leave the link's target as it was.
+    # An output link is replaced by the file written.
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"not yours to overwrite")
+    for name in ("m.key", "m.enc", "o"):
+        (tmp_path / f".{name}.{os.getpid()}.tmp").symlink_to(victim)
+    cipher, keyfile = _skip_ga_encrypt(tmp_path, b"the key goes to m.key only")
+    out = tmp_path / "out-link"
+    out.symlink_to(victim)
+    assert main(["decrypt", str(cipher), "--key", str(keyfile), "--out", str(tmp_path / "o")]) == 0
+    assert main(["decrypt", str(cipher), "--key", str(keyfile), "--out", str(out)]) == 0
+    assert victim.read_bytes() == b"not yours to overwrite"
+    for path in (keyfile, cipher, tmp_path / "o", out):
+        assert not path.is_symlink()
+    assert out.read_bytes() == (tmp_path / "o").read_bytes() == b"the key goes to m.key only"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_output_that_is_not_a_regular_file_exits_2_before_reading_input(tmp_path, capsys, monkeypatch):
+    # A rename would replace a FIFO or a device; writing in place would
+    # block on a FIFO.  Either is refused before any input is read.
+    from chaocrypt import cli
+
+    cipher, keyfile = _skip_ga_encrypt(tmp_path, b"a message for a fifo")
+    plain = tmp_path / "m.txt"
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    link = tmp_path / "link"
+    link.symlink_to(fifo)
+    capsys.readouterr()
+
+    def boom(*args):
+        raise AssertionError("read an input before the output was checked")
+
+    monkeypatch.setattr(cli, "_read_bytes", boom)
+    monkeypatch.setattr(cli, "read_key_file", boom)
+    for path in (fifo, link):
+        for argv in (
+            ["decrypt", str(cipher), "--key", str(keyfile), "--out", str(path)],
+            ["encrypt", str(plain), "--out", str(tmp_path / "c2"), "--key-out", str(tmp_path / "k2"),
+             "--report", str(path)],
+            ["analyze", "bifurcation", "--param", "a", "--fixed", "2", "--range", "1:4", "--out", str(path)],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {path}: is not a regular file\n")
+            assert stat.S_ISFIFO(fifo.lstat().st_mode) and link.readlink() == fifo
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link", "m.enc", "m.key", "m.txt"]
+
+
+def test_encrypt_without_seed_warns_once_and_writes_the_seed_0_bytes(tmp_path, capsys):
+    # The default seed stays 0, so a run without --seed is reproducible;
+    # it says on stderr that every such run starts from the same pairs.
+    plain = tmp_path / "p"
+    plain.write_bytes(b"a message that any seedless run would key alike")
+    results = {}
+    for tag, extra in (
+        ("default", ["--max-generations", "5"]),
+        ("seed-0", ["--max-generations", "5", "--seed", "0"]),
+        ("skip-ga", ["--skip-ga", "--a", "2.5", "--b", "1.5"]),
+    ):
+        cipher, keyfile = tmp_path / f"{tag}.enc", tmp_path / f"{tag}.key"
+        assert main(["encrypt", str(plain), "--out", str(cipher), "--key-out", str(keyfile), *extra]) == 0
+        out, err = capsys.readouterr()
+        results[tag] = (out, err, cipher.read_bytes(), keyfile.read_bytes())
+    assert results["default"][1] == (
+        "warning: no --seed given: every such run spawns the same 20 (a, b) pairs (seed 0), "
+        "and a message of 300 bytes or more usually keeps one of them\n"
     )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "k"]
+    assert results["seed-0"][1] == results["skip-ga"][1] == ""
+    assert results["default"][0] == results["seed-0"][0]
+    assert results["default"][2:] == results["seed-0"][2:]
 
 
 def test_sensitivity_with_a_key_for_another_length_exits_2(tmp_path, capsys):

@@ -126,6 +126,22 @@ def test_score_holds_the_plaintext_once_and_peaks_at_the_keystream_build():
     assert peak <= 43 * n
 
 
+def test_building_an_evaluator_makes_no_copy_of_the_plaintext():
+    # The alphabet is a 256-entry table set at the bytes, not a count over
+    # an int64 copy of them (8 B per point with np.bincount).
+    n = 1 << 18
+    plaintext = random.Random(10).randbytes(n)
+    FitnessEvaluator(plaintext[:1000])
+    tracemalloc.start()
+    try:
+        evaluator = FitnessEvaluator(plaintext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n
+    assert evaluator._alphabet.tolist() == sorted(set(plaintext))
+
+
 def test_spawn_population_ranges_and_size():
     rng = random.Random(0)
     pop = spawn_population(GaConfig(), rng)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chaocrypt import FormatError, KeyRecord, read_key_file, write_key_file
-from chaocrypt.keyfile import float_to_hex, hex_to_float
+from chaocrypt.keyfile import float_to_hex, hex_to_float, write_atomic
 
 
 def _random_key(rng):
@@ -26,6 +26,21 @@ def test_round_trip_is_bit_exact(tmp_path):
         write_key_file(key, path)
         back = read_key_file(path)
         assert back == key
+
+
+def test_write_cut_short_leaves_the_old_file_and_no_temp(tmp_path):
+    path = tmp_path / "key.txt"
+    write_key_file(KeyRecord(2.0, 1.0, 0.5, 0.5), path)
+    before = path.read_bytes()
+
+    def chunks():
+        yield b"the first half of a new file"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(path, chunks())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["key.txt"]
 
 
 def test_known_bit_pattern_for_one_thousandth():
