@@ -36,8 +36,10 @@ TWO_PI = 2.0 * math.pi
 # `_orbits` holds at most this many bytes of xs and ys per block of lanes, and
 # steps a block in numpy only if it holds at least ORBIT_MIN_LANES lanes:
 # below that numpy's fixed cost per step outweighs the lanes it steps at once.
+# Measured at n = 1,000-4,096 (Xeon, numpy 2.4): lane by lane takes 0.9x the
+# CPU time of numpy at 32 lanes, 1.07-1.11x at 40 and 1.4-1.6x at 63.
 ORBIT_BLOCK_BYTES = 2 << 20
-ORBIT_MIN_LANES = 64
+ORBIT_MIN_LANES = 40
 
 # generate_sequence steps a transient in chunks of at most this many points
 # through one scratch buffer, so a long transient is not held in memory.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -33,10 +32,6 @@ from .keyfile import read_key_file, write_atomic, write_key_file
 # digits give back the same double.  "%" formats it through the same C
 # routine as format(v, ".17g"), so the digits are the same.
 _NUM = "%.17g"
-
-
-def _fmt(v: float) -> str:
-    return _NUM % v
 
 
 def _write_csv(path, header, blocks, comment: str | None = None) -> None:
@@ -60,14 +55,17 @@ def _write_csv(path, header, blocks, comment: str | None = None) -> None:
     write_atomic(path, chunks())
 
 
-def _parse_range(text: str, parts: int):
-    pieces = text.split(":")
-    if len(pieces) != parts:
-        raise InvalidInput(f"expected {parts} colon-separated numbers, got {text!r}")
+def _parse_numbers(text: str, sep: str, kind, parts: int | None = None) -> tuple:
+    """The items of a sep-separated list, each read by kind (int or float).
+    An empty or malformed item, or other than `parts` items where that is
+    given, is refused."""
+    pieces = text.split(sep)
+    if parts is not None and len(pieces) != parts:
+        raise InvalidInput(f"expected {parts} {sep!r}-separated numbers, got {text!r}")
     try:
-        return tuple(float(p) for p in pieces)
+        return tuple(kind(p) for p in pieces)
     except ValueError:
-        raise InvalidInput(f"malformed range {text!r}") from None
+        raise InvalidInput(f"malformed number list {text!r}") from None
 
 
 def _read_bytes(path) -> bytes:
@@ -116,8 +114,8 @@ def cmd_encrypt(args) -> int:
         params = MapParams(args.a, args.b)
         ciphertext, record = encrypt(plaintext, params)
         score = ga.FitnessEvaluator(plaintext).score(params)
-        print(f"a: {_fmt(params.a)}")
-        print(f"b: {_fmt(params.b)}")
+        print(f"a: {_NUM % params.a}")
+        print(f"b: {_NUM % params.b}")
         print(f"fitness: {score:.4f}")
     else:
         config = _ga_config(args)
@@ -154,19 +152,19 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_analyze_bifurcation(args) -> int:
-    low, high = _parse_range(args.range, 2)
+    low, high = _parse_numbers(args.range, ":", float, 2)
     values, xs = analysis.bifurcation_sweep(
         args.param, args.fixed, low, high, args.steps, args.iters, args.transient, MapState(args.x0, args.y0)
     )
     coverages = analysis.bin_coverage(xs).tolist()
     comment = (
-        f"swept={args.param} fixed={_fmt(args.fixed)} x0={_fmt(args.x0)} y0={_fmt(args.y0)} "
+        f"swept={args.param} fixed={_NUM % args.fixed} x0={_NUM % args.x0} y0={_NUM % args.y0} "
         f"iterations={args.iters} transient={args.transient}"
     )
     _write_csv(
         args.out,
         (args.param, "x"),
-        ((f"{_fmt(p)},{_NUM}", row.tolist()) for p, row in zip(values.tolist(), xs)),
+        ((f"{_NUM % p},{_NUM}", row.tolist()) for p, row in zip(values.tolist(), xs)),
         comment=comment,
     )
     print(f"rows: {xs.size}")
@@ -182,8 +180,8 @@ def cmd_analyze_lyapunov(args) -> int:
         iterations=args.iters,
         transient=args.transient,
     )
-    print(f"exponent_1: {_fmt(result.exponent_1)}")
-    print(f"exponent_2: {_fmt(result.exponent_2)}")
+    print(f"exponent_1: {_NUM % result.exponent_1}")
+    print(f"exponent_2: {_NUM % result.exponent_2}")
     if args.out:
         _write_csv(
             args.out,
@@ -201,8 +199,8 @@ def cmd_analyze_lyapunov(args) -> int:
 
 def cmd_analyze_landscape(args) -> int:
     plaintext = _read_bytes(args.plaintext)
-    a_range = _parse_range(args.a_range, 2)
-    b_range = _parse_range(args.b_range, 2)
+    a_range = _parse_numbers(args.a_range, ":", float, 2)
+    b_range = _parse_numbers(args.b_range, ":", float, 2)
     table = analysis.fitness_landscape(plaintext, a_range, b_range, args.grid_a, args.grid_b)
     line = f"{_NUM},{_NUM},{_NUM}"
     _write_csv(args.out, ("a", "b", "fitness"), ((line, row.tolist()) for row in table.reshape(args.grid_a, -1)))
@@ -215,14 +213,8 @@ def cmd_analyze_landscape(args) -> int:
 
 
 def cmd_analyze_lengths(args) -> int:
-    try:
-        lengths = [int(p) for p in args.lengths.split(",") if p]
-    except ValueError:
-        raise InvalidInput(f"malformed length list {args.lengths!r}") from None
-    if not lengths:
-        raise InvalidInput("no lengths given")
-    config = _ga_config(args)
-    results = analysis.length_experiment(lengths, config, trials=args.trials)
+    lengths = _parse_numbers(args.lengths, ",", int)
+    results = analysis.length_experiment(lengths, _ga_config(args), trials=args.trials)
     if args.trials == 1:
         header, line = ("length", "generations", "max_fitness"), f"%d,%d,{_NUM}"
         values = [v for r in results for v in (r.length, r.generations, r.max_fitness)]
@@ -259,12 +251,12 @@ def cmd_analyze_sensitivity(args) -> int:
 
 def cmd_keyspace(args) -> int:
     if args.range:
-        ranges = [_parse_range(r, 3) for r in args.range]
+        ranges = [_parse_numbers(r, ":", float, 3) for r in args.range]
     else:
         ranges = list(analysis.DEFAULT_KEYSPACE_RANGES)
     size = analysis.keyspace_size(ranges)
     print(f"key space size: {size:.6g}")
-    print(f"ratio to 2^128: {size / math.pow(2.0, 128):.6g}")
+    print(f"ratio to 2^128: {size / 2.0 ** 128:.6g}")
     return 0
 
 
@@ -368,11 +360,10 @@ def _file_id(path):
 
 
 def _check_outputs(args) -> None:
-    """Reject an output whose directory is missing, that is a directory or
-    another existing file that is not a regular file (a FIFO, a device), or
-    that names the same file as an input or another output, before any input
-    is read.  Inputs are named as on the command line: a positional's name or
-    an option's flag."""
+    """Reject an output whose directory is missing, that exists but is not a
+    regular file (a directory, a FIFO, a device), or that names the same file
+    as an input or another output, before any input is read.  Inputs are
+    named as on the command line: a positional's name or an option's flag."""
     seen = {}  # file id -> the input or output flag that named it first
     for name in args.inputs:
         path = getattr(args, name.lstrip("-"))
@@ -385,8 +376,6 @@ def _check_outputs(args) -> None:
         path, flag = Path(path), "--" + dest.replace("_", "-")
         if not path.parent.is_dir():
             raise InvalidInput(f"{path}: directory {str(path.parent)!r} does not exist")
-        if path.is_dir():
-            raise InvalidInput(f"{path}: is a directory")
         if path.exists() and not path.is_file():
             raise InvalidInput(f"{path}: is not a regular file")
         first = seen.setdefault(_file_id(path), flag)

@@ -24,7 +24,7 @@ from chaocrypt import (
     summarize_lengths,
 )
 from chaocrypt.analysis import COVERAGE_BINS, bin_coverage
-from chaocrypt.chaos import ORBIT_MIN_LANES
+from chaocrypt.chaos import ORBIT_MIN_LANES, TWO_PI
 
 
 def test_bifurcation_row_count():
@@ -233,6 +233,13 @@ def test_lyapunov_rejects_a_frame_that_degenerates_without_warnings():
     # the frame check, not a numpy warning, reports it.
     with pytest.raises(NumericalError, match="^tangent frame degenerated$"):
         lyapunov_spectrum(MapParams(1e308, 0.5), MapState(0.0, 0.25), 10, 2)
+    # At (x0, y0) = (-4*pi, 0) with a = 1/(4*pi) the first Jacobian is
+    # [[1, 0.5], [2, 1]], which is singular: it maps the frame (1, 0), (0, 1)
+    # to (1, 2) and (0.5, 1), and Gram-Schmidt leaves exactly 0 of the second.
+    a, x0 = 0.07957747154594767, -12.566370614359172
+    assert TWO_PI * a * math.cos(0.0) == 0.5 and -2.0 * a * x0 == 2.0
+    with pytest.raises(NumericalError, match="^tangent frame degenerated$"):
+        lyapunov_spectrum(MapParams(a, 1.0), MapState(x0, 0.0), 3, 1)
 
 
 def test_lyapunov_exponents_sorted_descending():
@@ -302,6 +309,13 @@ def test_sensitivity_zero_epsilon_changes_nothing():
     assert sensitivity_probe(plaintext, key, "a", 0.0) == 0.0
 
 
+def test_sensitivity_rejects_an_unknown_component():
+    plaintext = sample_text(64, random.Random(8))
+    key = KeyRecord(2.5, 1.5, 1.0 / 64, 1.0 - 1.0 / 64)
+    with pytest.raises(InvalidInput, match="^component must be one of"):
+        sensitivity_probe(plaintext, key, "z", 1e-15)
+
+
 def test_sensitivity_rejects_out_of_range_perturbation():
     plaintext = sample_text(64, random.Random(8))
     key = KeyRecord(4.0, 1.5, 1.0 / 64, 1.0 - 1.0 / 64)
@@ -365,6 +379,11 @@ def test_keyspace_rejects_bad_entries():
         keyspace_size([(0.0, 1e-300, 1e300)])
     with pytest.raises(InvalidInput, match="key space size underflows to 0"):
         keyspace_size([(0.0, 1e-200, 1.0), (0.0, 1e-200, 1.0)])
+
+
+def test_sample_text_rejects_no_length():
+    with pytest.raises(InvalidInput, match="^length must be >= 1$"):
+        sample_text(0, random.Random(10))
 
 
 def test_sample_text_is_textlike():

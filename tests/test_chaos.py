@@ -283,6 +283,8 @@ def _lanes(a, b, initial, n, transient):
         (1, 40, 1),
         (ORBIT_MIN_LANES - 1, 40, 1),  # below the lane floor: stepped lane by lane
         (ORBIT_MIN_LANES, 40, 1),
+        (63, 40, 1),  # both sides of the floor's old value, 64
+        (64, 40, 1),
         (300, 1000, 3),  # more lanes than ORBIT_BLOCK_BYTES holds at n = 1000
     ],
 )

@@ -159,6 +159,8 @@ def test_compose_key_rejects_bad_inputs():
         compose_key([0, 0, 1], [0, 1, 2])
     with pytest.raises(InvalidInput):
         compose_key([0, 1, 3], [0, 1, 2])
+    with pytest.raises(InvalidInput, match="^s_x must be non-empty$"):
+        compose_key([], [])
 
 
 def test_xor_apply_examples():

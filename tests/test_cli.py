@@ -308,8 +308,9 @@ def test_a_link_at_an_output_or_its_old_temp_name_is_never_written_through(tmp_p
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
 def test_output_that_is_not_a_regular_file_exits_2_before_reading_input(tmp_path, capsys, monkeypatch):
-    # A rename would replace a FIFO or a device; writing in place would
-    # block on a FIFO.  Either is refused before any input is read.
+    # A rename would replace a FIFO or a device, and fail on a directory;
+    # writing in place would block on a FIFO.  Each is refused before any
+    # input is read.
     from chaocrypt import cli
 
     cipher, keyfile = _skip_ga_encrypt(tmp_path, b"a message for a fifo")
@@ -318,6 +319,8 @@ def test_output_that_is_not_a_regular_file_exits_2_before_reading_input(tmp_path
     os.mkfifo(fifo)
     link = tmp_path / "link"
     link.symlink_to(fifo)
+    folder = tmp_path / "folder"
+    folder.mkdir()
     capsys.readouterr()
 
     def boom(*args):
@@ -325,7 +328,7 @@ def test_output_that_is_not_a_regular_file_exits_2_before_reading_input(tmp_path
 
     monkeypatch.setattr(cli, "_read_bytes", boom)
     monkeypatch.setattr(cli, "read_key_file", boom)
-    for path in (fifo, link):
+    for path in (fifo, link, folder):
         for argv in (
             ["decrypt", str(cipher), "--key", str(keyfile), "--out", str(path)],
             ["encrypt", str(plain), "--out", str(tmp_path / "c2"), "--key-out", str(tmp_path / "k2"),
@@ -335,7 +338,8 @@ def test_output_that_is_not_a_regular_file_exits_2_before_reading_input(tmp_path
             assert main(argv) == 2
             assert capsys.readouterr() == ("", f"error: {path}: is not a regular file\n")
             assert stat.S_ISFIFO(fifo.lstat().st_mode) and link.readlink() == fifo
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link", "m.enc", "m.key", "m.txt"]
+    assert list(folder.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "folder", "link", "m.enc", "m.key", "m.txt"]
 
 
 def test_encrypt_without_seed_warns_once_and_writes_the_seed_0_bytes(tmp_path, capsys):
@@ -690,11 +694,21 @@ def test_analyze_lengths_mirrors_single_trial_layout(tmp_path, capsys):
     assert len(lines) == 4
 
 
-def test_analyze_lengths_malformed_list_exits_2(tmp_path, capsys):
+def test_analyze_lengths_malformed_list_exits_2(tmp_path, capsys, monkeypatch):
+    # An empty item is as malformed as any other, so no list names no lengths.
+    from chaocrypt import analysis
+
+    def boom(*args):
+        raise AssertionError("a key search ran for a refused list")
+
+    monkeypatch.setattr(analysis, "evolve", boom)
     out = tmp_path / "len.csv"
-    assert main(["analyze", "lengths", "--lengths", "10,abc", "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    cases = [(["--lengths", text], f"malformed number list {text!r}") for text in ("10,abc", "10,", "10,,20", ",", "")]
+    cases += [(["--lengths", "0"], "every length must be >= 1"), (["--trials", "0"], "trials must be >= 1")]
+    for flags, message in cases:
+        assert main(["analyze", "lengths", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_sensitivity_with_inline_params(tmp_path, capsys):
@@ -725,7 +739,13 @@ def test_keyspace_custom_range(capsys):
 
 
 def test_keyspace_malformed_range_exits_2(capsys):
-    assert main(["keyspace", "--range", "0:1"]) == 2
+    for text, message in (
+        ("0:1", "expected 3 ':'-separated numbers, got '0:1'"),
+        ("a:1:1", "malformed number list 'a:1:1'"),
+        ("1::2", "malformed number list '1::2'"),
+    ):
+        assert main(["keyspace", "--range", text]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -752,6 +772,29 @@ def test_encrypt_non_finite_mutation_step_exits_2_before_ga(tmp_path, capsys, mo
     argv = _ga_encrypt_argv(tmp_path, cipher, key)
     assert main([*argv, f"--mutation-step={step}", "--mutation-prob", "1"]) == 2
     assert capsys.readouterr().err == "error: mutation_step must be finite\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--mutation-step=-0.1", "mutation_step must be >= 0"), ("--quorum=1.5", "quorum_fraction must be in [0, 1]")],
+)
+def test_encrypt_ga_setting_out_of_range_exits_2_before_ga(tmp_path, capsys, monkeypatch, flag, message):
+    _evolve_must_not_run(monkeypatch)
+    argv = _ga_encrypt_argv(tmp_path, tmp_path / "c", tmp_path / "k")
+    assert main([*argv, flag]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "nan"])
+def test_analyze_sensitivity_negative_or_nan_epsilon_exits_2(tmp_path, capsys, epsilon):
+    plain, out = tmp_path / "p", tmp_path / "o.csv"
+    plain.write_bytes(b"a message to nudge a key by no amount at all")
+    argv = ["analyze", "sensitivity", "--plaintext", str(plain), "--a", "2.5", "--b", "1.5",
+            "--component", "a", f"--epsilon={epsilon}", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: epsilon must be >= 0\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
 
 

@@ -28,6 +28,16 @@ def test_round_trip_is_bit_exact(tmp_path):
         assert back == key
 
 
+def test_comments_blank_lines_spaces_and_order_are_ignored(tmp_path):
+    key = KeyRecord(2.0, 1.0, 0.5, 0.5)
+    path = tmp_path / "key.txt"
+    write_key_file(key, path)
+    # name=value with other spacing, last field first, blank lines between
+    lines = [f"  {line.replace(' = ', '=')}\t" for line in reversed(path.read_text().splitlines())]
+    path.write_text("# a key for the tests\n\n" + "\n  \n".join(lines) + "\n")
+    assert read_key_file(path) == key
+
+
 def test_write_cut_short_leaves_the_old_file_and_no_temp(tmp_path):
     path = tmp_path / "key.txt"
     write_key_file(KeyRecord(2.0, 1.0, 0.5, 0.5), path)
@@ -94,6 +104,9 @@ def test_rejects_malformed_lines(tmp_path):
         (b"\xff\xfe", "UTF-8"),
         # a repeated field must not silently replace the first one
         (valid + f"a.hex = {float_to_hex(3.0)}\na.dec = 3\n".encode(), "duplicate field a.hex"),
+        # 14 hex digits are 7 bytes, not a binary64
+        (valid.replace(float_to_hex(2.0).encode(), float_to_hex(2.0)[:14].encode()),
+         "field a.hex: invalid bit pattern"),
     )
     for content, message in cases:
         path.write_bytes(content)

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaocrypt import FormatError, InvalidInput, KeyRecord
-from chaocrypt.cli import _NUM, _fmt, _write_csv, main
+from chaocrypt.cli import _NUM, _write_csv, main
 from chaocrypt.keyfile import float_to_hex, read_key_file
 
 CIPHERTEXT = bytes(range(1, 9))
@@ -188,7 +188,7 @@ def test_csv_blocks_write_every_double_as_format_17g(p, values):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "o.csv"
         # A row prefix formatted once, as the bifurcation writes, then rows of two conversions.
-        _write_csv(path, ("p", "x"), [(f"{_fmt(p)},{_NUM}", values), (f"{_NUM},{_NUM}", flat)])
+        _write_csv(path, ("p", "x"), [(f"{_NUM % p},{_NUM}", values), (f"{_NUM},{_NUM}", flat)])
         text = path.read_bytes().decode("ascii")
     want = "p,x\n" + "".join(f"{g(p)},{g(v)}\n" for v in values)
     want += "".join(f"{g(flat[i])},{g(flat[i + 1])}\n" for i in range(0, len(flat), 2))
