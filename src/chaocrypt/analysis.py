@@ -238,6 +238,8 @@ def length_experiment(lengths, config: GaConfig, trials: int = 1) -> list[Length
     lengths = list(lengths)
     if any(n < 1 for n in lengths):
         raise InvalidInput("every length must be >= 1")
+    if len(set(lengths)) != len(lengths):
+        raise InvalidInput("each length may be given only once")
     results: list[LengthTrialResult] = []
     for length in lengths:
         for trial in range(trials):
@@ -286,8 +288,6 @@ def sensitivity_probe(plaintext, key: KeyRecord, component: str, epsilon: float)
     if not (epsilon >= 0.0):
         raise InvalidInput("epsilon must be >= 0")
     data = bytes(plaintext)
-    if len(data) == 0:
-        raise InvalidInput("plaintext must be non-empty")
     ciphertext = decrypt(data, key)  # the XOR keystream is its own inverse
     perturbed = replace(key, **{component: getattr(key, component) + epsilon})
     recovered = decrypt(ciphertext, perturbed)

@@ -50,8 +50,6 @@ class KeyRecord:
     y0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvalidInput("map parameters must be finite")
         if not (A_MIN <= self.a <= A_MAX):
             raise InvalidInput(f"parameter a={self.a!r} outside [{A_MIN}, {A_MAX}]")
         if not (B_MIN <= self.b <= B_MAX):

@@ -101,9 +101,7 @@ def cmd_encrypt(args) -> int:
     if args.skip_ga:
         if args.a is None or args.b is None:
             raise InvalidInput("--skip-ga requires --a and --b")
-        if args.report is not None:
-            raise InvalidInput("--report cannot be used with --skip-ga")
-        for field, (flag, _) in _GA_FLAGS.items():
+        for field, (flag, _) in {"report": ("--report", str), **_GA_FLAGS}.items():
             if getattr(args, field) is not None:
                 raise InvalidInput(f"{flag} cannot be used with --skip-ga")
     elif args.a is not None or args.b is not None:

@@ -13,6 +13,7 @@ from chaocrypt import (
     MapParams,
     MapState,
     NumericalError,
+    analysis,
     bifurcation_sweep,
     chaos,
     fitness_landscape,
@@ -296,6 +297,16 @@ def test_length_experiment_row_count_and_reproducibility():
     assert [s[0] for s in summary] == [10, 50, 100]
 
 
+def test_length_experiment_refuses_a_repeated_length_before_any_key_search(monkeypatch):
+    # A repeated length would repeat its seeds, so its rows and its trials.
+    def must_not_run(*args):
+        raise AssertionError("a key search ran for a refused list")
+
+    monkeypatch.setattr(analysis, "evolve", must_not_run)
+    with pytest.raises(InvalidInput, match="^each length may be given only once$"):
+        length_experiment([10, 10, 20], GaConfig(), trials=2)
+
+
 def test_length_one_fitness_is_all_or_nothing():
     config = GaConfig(rng_seed=6, max_generations=2)
     rows = length_experiment([1], config, trials=3)
@@ -324,10 +335,15 @@ def test_sensitivity_rejects_out_of_range_perturbation():
 
 
 def test_sensitivity_refuses_a_plaintext_its_key_was_not_made_for():
-    plaintext = sample_text(60, random.Random(8))
-    key = KeyRecord(2.5, 1.5, 1.0 / 28, 1.0 - 1.0 / 28)
-    with pytest.raises(InvalidInput, match="^data is 60 bytes but the key is for a 28-byte message$"):
-        sensitivity_probe(plaintext, key, "a", 1e-15)
+    cases = [
+        (sample_text(60, random.Random(8)), KeyRecord(2.5, 1.5, 1.0 / 28, 1.0 - 1.0 / 28),
+         "data is 60 bytes but the key is for a 28-byte message"),
+        # every valid key names a length >= 1, so no key is for an empty plaintext
+        (b"", KeyRecord(2.5, 1.5, 0.25, 0.5), "data is 0 bytes but the key is for a 4-byte message"),
+    ]
+    for plaintext, key, message in cases:
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            sensitivity_probe(plaintext, key, "a", 1e-15)
 
 
 def test_sensitivity_detects_parameter_nudges():

@@ -268,10 +268,10 @@ def test_decrypt_refuses_a_key_whose_x0_names_no_possible_length(x0):
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"a": math.nan}, "map parameters must be finite"),
-        ({"a": math.inf}, "map parameters must be finite"),
-        ({"b": -math.inf}, "map parameters must be finite"),
-        ({"a": 4.5, "b": math.nan}, "map parameters must be finite"),
+        ({"a": math.nan}, "parameter a=nan outside [1.0, 4.0]"),
+        ({"a": math.inf}, "parameter a=inf outside [1.0, 4.0]"),
+        ({"b": -math.inf}, "parameter b=-inf outside [0.1, 4.0]"),
+        ({"a": 4.5, "b": math.nan}, "parameter a=4.5 outside [1.0, 4.0]"),
         ({"a": 0.5}, "parameter a=0.5 outside [1.0, 4.0]"),
         ({"a": 4.000000000000001}, "parameter a=4.000000000000001 outside [1.0, 4.0]"),
         ({"a": 0.5, "b": 0.05}, "parameter a=0.5 outside [1.0, 4.0]"),

@@ -93,13 +93,14 @@ _KEY_ARGV = ["analyze", "sensitivity", "--plaintext", "plain", "--key", "key",
     ]
     + [
         pytest.param(b"", "plaintext must be non-empty", argv, id=f"empty-argv{i}")
-        for i, argv in enumerate((*_PLAINTEXT_ARGVS, _KEY_ARGV))
-    ],
+        for i, argv in enumerate(_PLAINTEXT_ARGVS)
+    ]
+    + [pytest.param(b"", "data is 0 bytes but the key is for a 4-byte message", _KEY_ARGV, id="empty-argv4")],
 )
 def test_all_nul_plaintext_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, content, message, argv):
     # x0 = mean / sum of the plaintext bytes has no value when they sum to
     # zero or when there are none.  --key takes x0 from the key file, so only
-    # the empty plaintext fails there.
+    # the empty plaintext fails there, as a length the key does not name.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "plain").write_bytes(content)
     write_key_file(KeyRecord(2.5, 1.5, 0.25, 0.5), tmp_path / "key")
@@ -705,6 +706,7 @@ def test_analyze_lengths_malformed_list_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "len.csv"
     cases = [(["--lengths", text], f"malformed number list {text!r}") for text in ("10,abc", "10,", "10,,20", ",", "")]
     cases += [(["--lengths", "0"], "every length must be >= 1"), (["--trials", "0"], "trials must be >= 1")]
+    cases += [(["--lengths", "10,10,20"], "each length may be given only once")]
     for flags, message in cases:
         assert main(["analyze", "lengths", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -771,13 +773,16 @@ def test_encrypt_non_finite_mutation_step_exits_2_before_ga(tmp_path, capsys, mo
     cipher, key = tmp_path / "c", tmp_path / "k"
     argv = _ga_encrypt_argv(tmp_path, cipher, key)
     assert main([*argv, f"--mutation-step={step}", "--mutation-prob", "1"]) == 2
-    assert capsys.readouterr().err == "error: mutation_step must be finite\n"
+    assert capsys.readouterr().err == "error: mutation_step must be finite and >= 0\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p"]
 
 
 @pytest.mark.parametrize(
     "flag, message",
-    [("--mutation-step=-0.1", "mutation_step must be >= 0"), ("--quorum=1.5", "quorum_fraction must be in [0, 1]")],
+    [
+        ("--mutation-step=-0.1", "mutation_step must be finite and >= 0"),
+        ("--quorum=1.5", "quorum_fraction must be in [0, 1]"),
+    ],
 )
 def test_encrypt_ga_setting_out_of_range_exits_2_before_ga(tmp_path, capsys, monkeypatch, flag, message):
     _evolve_must_not_run(monkeypatch)

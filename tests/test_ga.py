@@ -360,8 +360,8 @@ def test_config_validation():
         GaConfig(mutation_probability=1.5)
     with pytest.raises(InvalidInput):
         GaConfig(max_generations=0)
-    for step in (math.inf, math.nan):
-        with pytest.raises(InvalidInput, match="mutation_step"):
+    for step in (math.inf, math.nan, -0.1, -math.inf):
+        with pytest.raises(InvalidInput, match="^mutation_step must be finite and >= 0$"):
             GaConfig(mutation_step=step)
     for threshold in (math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidInput, match="fitness_threshold must be finite"):

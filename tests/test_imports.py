@@ -1,5 +1,6 @@
-"""Every name a chaocrypt module imports is used in that module, and every
-private module-level name is used somewhere in the package.
+"""Every name a chaocrypt module imports is used in that module, every
+private module-level name is used somewhere in the package, and each
+InvalidInput message is raised at one place in the package.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead.  `__init__.py` is skipped by the import check: its
@@ -82,3 +83,24 @@ def test_every_private_module_level_name_is_used():
     assert modules
     dead = _unreferenced_private_names(modules)
     assert not dead, "private and never used:\n" + "\n".join(dead)
+
+
+def _invalid_input_sites(paths: list[Path]) -> dict[str, list[str]]:
+    """The source of the first argument of each `raise InvalidInput(...)` ->
+    the `module:line` of every raise that gives it."""
+    sites: dict[str, list[str]] = {}
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) and exc.func.id == "InvalidInput":
+                sites.setdefault(ast.unparse(exc.args[0]), []).append(f"{path.stem}:{node.lineno}")
+    return sites
+
+
+def test_each_invalid_input_message_is_raised_at_one_site():
+    # A rule checked twice raises its message twice; the check that runs
+    # first is the one a caller sees, and the other is dead weight.
+    sites = _invalid_input_sites(sorted(PACKAGE.glob("*.py")))
+    assert sites
+    repeated = [f"{message} at {', '.join(where)}" for message, where in sites.items() if len(where) > 1]
+    assert not repeated, "raised at more than one site:\n" + "\n".join(repeated)

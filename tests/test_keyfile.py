@@ -126,12 +126,14 @@ def test_rejects_bad_hex_digits(tmp_path):
 def test_rejects_out_of_range_decoded_values(tmp_path):
     path = tmp_path / "key.txt"
     write_key_file(KeyRecord(2.0, 1.0, 0.5, 0.5), path)
-    text = path.read_text()
-    text = text.replace(f"a.dec = 2", f"a.dec = 9", 1)
-    text = text.replace(float_to_hex(2.0), float_to_hex(9.0), 1)
-    path.write_text(text)
-    with pytest.raises(FormatError):
-        read_key_file(path)
+    valid = path.read_text()
+    # a non-finite field decodes, and KeyRecord's range test refuses it
+    for dec, hex_digits in (("9", float_to_hex(9.0)), ("inf", "7FF0000000000000")):
+        text = valid.replace("a.dec = 2", f"a.dec = {dec}", 1).replace(float_to_hex(2.0), hex_digits, 1)
+        path.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            read_key_file(path)
+        assert str(exc.value) == f"parameter a={float(dec)!r} outside [1.0, 4.0]"
 
 
 def test_last_hex_digit_flip_changes_key(tmp_path):

@@ -13,7 +13,7 @@ A line run only in a child process (`python -m chaocrypt.cli`) is not seen.
 `__init__.py` is left out: `trace` decides once per module base name
 whether to ignore a file, and the first `__init__` it meets is one under
 sys.prefix, so the package's own would always be listed.  It holds only
-imports and `__all__`.
+imports and `__version__`.
 """
 
 from __future__ import annotations
