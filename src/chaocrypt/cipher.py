@@ -64,35 +64,59 @@ class KeyRecord:
 KEY_FIELDS = tuple(f.name for f in fields(KeyRecord))
 
 # The longest array _descending_order sorts with one stable argsort.  Near
-# this length a stable argsort of orbit values costs what the unstable sort,
-# its sorted copy and the tie check together cost (numpy 2.4, x86-64 with
-# AVX-512); below it, less.
+# this length a stable argsort of orbit values costs what the unstable sort
+# and the tie check together cost (numpy 2.4, x86-64 with AVX-512); below
+# it, less.
 STABLE_SORT_MAX = 160
 
+# Positions per step of the tie check and of the composition of two orders:
+# their temporaries are CHUNK long, not n long (1 B per point at n = 2**18).
+CHUNK = 1 << 14
 
-def _descending_order(arr: np.ndarray) -> np.ndarray:
-    """Indices that sort the 1-D float64 `arr` in descending order, equal
-    values in index order; raises InvalidInput unless every value is finite.
+
+def _descending_order(values) -> np.ndarray:
+    """Indices that sort `values` in descending order, equal values in index
+    order; raises InvalidInput unless `values` is a non-empty 1-D sequence of
+    finite floats.
 
     Up to STABLE_SORT_MAX values are sorted with one stable argsort.  A
     longer array is sorted with numpy's fastest (unstable) argsort, reversed,
     and again stably only if the sorted values hold an equal adjacent pair
     (-0.0 == 0.0 counts): a tie-free array has exactly one descending order.
-    Either way the order is the same on every numpy build.  The sorted copy
-    and the tie mask die when it returns, so a caller that allocates its
-    output after the call never holds both.
+    Either way the order is the same on every numpy build.  The pairs are
+    checked CHUNK at a time, each chunk overlapping the next by one value so
+    that a tie across a chunk edge is seen, and no sorted copy is made.
     """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidInput("values must be a non-empty 1-D sequence")
     if arr.size <= STABLE_SORT_MAX:
         order = (-arr).argsort(kind="stable")
     else:
         order = arr.argsort()[::-1]
-        ordered = arr[order]
-        if np.count_nonzero(ordered[1:] == ordered[:-1]):  # cheaper than .any() at these n
-            order = (-arr).argsort(kind="stable")
+        for lo in range(0, arr.size - 1, CHUNK):
+            ordered = arr[order[lo : lo + CHUNK + 1]]
+            if np.count_nonzero(ordered[1:] == ordered[:-1]):  # cheaper than .any() at these n
+                order = (-arr).argsort(kind="stable")
+                break
     # NaNs and infinities sort to the ends, so the ends show any of them.
     if not (math.isfinite(arr[order[0]]) and math.isfinite(arr[order[-1]])):
         raise InvalidInput("values must be finite")
     return order
+
+
+def _compose_orders(order_x: np.ndarray, order_y: np.ndarray) -> np.ndarray:
+    """The key array K = S_y[S_x] of the ranks whose descending orders these
+    are, made without either rank array.
+
+    S_y[order_y[r]] = r and K[order_x[j]] = S_y[j], so K[order_x[order_y[r]]]
+    = r: each chunk of ranks r is scattered through the two orders.
+    """
+    key = np.empty(order_x.size, dtype=np.int64)
+    for lo in range(0, key.size, CHUNK):
+        at = order_x[order_y[lo : lo + CHUNK]]
+        key[at] = np.arange(lo, lo + at.size, dtype=np.int64)
+    return key
 
 
 def rank_descending(values) -> np.ndarray:
@@ -101,12 +125,9 @@ def rank_descending(values) -> np.ndarray:
     Ties break stably: among equal values the lower original index gets the
     lower rank.  The result is a permutation of 0..n-1.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInput("values must be a non-empty 1-D sequence")
-    order = _descending_order(arr)
-    ranks = np.empty(arr.size, dtype=np.int64)
-    ranks[order] = np.arange(arr.size, dtype=np.int64)
+    order = _descending_order(values)
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.arange(order.size, dtype=np.int64)
     return ranks
 
 
@@ -141,22 +162,23 @@ def xor_apply(data, key) -> bytes:
 
 def keystream_from_orbit(xs, ys) -> np.ndarray:
     """The key array K = S_y[S_x] of one orbit's x and y sequences."""
-    # S_x[order_x[j]] = j, so K[order_x[j]] = S_y[j]: scattering S_y through
-    # x's descending order composes the two ranks without making S_x.  K is
-    # allocated after the sort, which keeps a build at 41 bytes per point.
-    s_y = rank_descending(ys)
+    order_y = _descending_order(ys)
     x = np.asarray(xs, dtype=np.float64)
-    if x.shape != s_y.shape:
+    if x.shape != order_y.shape:
         raise InvalidInput("xs and ys must be 1-D and of equal length")
-    order_x = _descending_order(x)
-    key = np.empty_like(s_y)
-    key[order_x] = s_y
-    return key
+    return _compose_orders(_descending_order(x), order_y)
 
 
 def build_keystream(params: MapParams, initial: MapState, n: int) -> np.ndarray:
     """Generate the orbit and return its n-value key array K."""
-    return keystream_from_orbit(*generate_sequence(params, initial, n))
+    # Each axis is freed once it is sorted, and K is allocated after both
+    # sorts, so a build holds at most three n-long arrays of 8 B per value.
+    xs, ys = generate_sequence(params, initial, n)
+    order_y = _descending_order(ys)
+    del ys
+    order_x = _descending_order(xs)
+    del xs
+    return _compose_orders(order_x, order_y)
 
 
 def encrypt(plaintext, params: MapParams) -> tuple[bytes, KeyRecord]:

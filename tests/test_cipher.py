@@ -20,7 +20,7 @@ from chaocrypt import (
     sample_text,
     xor_apply,
 )
-from chaocrypt.cipher import STABLE_SORT_MAX, keystream_from_orbit
+from chaocrypt.cipher import CHUNK, STABLE_SORT_MAX, _descending_order, keystream_from_orbit
 from chaocrypt.ga import fitness
 
 
@@ -341,8 +341,20 @@ def test_keystream_permutation_invariants():
         assert key.tolist() == compose_key(s_x, s_y).tolist()
 
 
-# One length, the stable sort's boundary, a landscape row and a bulk message.
-KEYSTREAM_LENGTHS = (1, STABLE_SORT_MAX - 1, STABLE_SORT_MAX, STABLE_SORT_MAX + 1, 999, 1 << 18)
+# One length, the stable sort's boundary, a landscape row, the chunk edges of
+# the tie check and the composition, and a bulk message.
+KEYSTREAM_LENGTHS = (
+    1,
+    STABLE_SORT_MAX - 1,
+    STABLE_SORT_MAX,
+    STABLE_SORT_MAX + 1,
+    999,
+    CHUNK - 1,
+    CHUNK,
+    CHUNK + 1,
+    2 * CHUNK + 1,
+    1 << 18,
+)
 
 
 def _keystream_axes(n):
@@ -374,10 +386,42 @@ def test_keystream_from_orbit_is_the_composed_ranks_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", KEYSTREAM_LENGTHS)
+def test_build_keystream_is_the_composed_ranks_bit_for_bit(n):
+    params, initial = MapParams(2.5, 1.5), MapState(1 / n, 1 - 1 / n)
+    xs, ys = generate_sequence(params, initial, n)
+    key = build_keystream(params, initial, n)
+    expect = compose_key(rank_descending(xs), rank_descending(ys))
+    assert key.dtype == expect.dtype == np.int64
+    assert key.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", (CHUNK + 1, 2 * CHUNK + 1))
+def test_a_tie_across_a_chunk_edge_takes_the_stable_sort(n):
+    # Distinct values but one pair, equal and adjacent in sorted order at
+    # positions edge - 1 and edge: only the chunk that overlaps the edge by
+    # one value holds both.  The unstable sort returns a reversed view of
+    # its order, the stable re-sort a fresh C-ordered array.
+    rng = random.Random(n)
+    for edge in range(CHUNK, n, CHUNK):
+        values = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        ordered = sorted(values, reverse=True)
+        assert not _descending_order(values).flags.c_contiguous  # tie-free: the unstable sort stands
+        tied = values.index(ordered[edge])
+        values[tied] = ordered[edge - 1]
+        order = _descending_order(values)
+        assert order.flags.c_contiguous, edge
+        ranks = _oracle_ranks(values)
+        assert rank_descending(values).tolist() == ranks
+        ys = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        expect = compose_key(ranks, _oracle_ranks(ys))
+        assert keystream_from_orbit(values, ys).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", KEYSTREAM_LENGTHS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_keystream_from_orbit_rejects_non_finite_on_either_axis(n, bad):
     xs, ys = _keystream_axes(n)[:2]
-    for where in sorted({0, n // 2, n - 1}):
+    for where in sorted({0, n // 2, n - 1, min(CHUNK - 1, n - 1), min(CHUNK, n - 1)}):
         for axis in (0, 1):
             pair = [xs.copy(), ys.copy()]
             pair[axis][where] = bad
@@ -391,9 +435,15 @@ def test_keystream_from_orbit_rejects_axes_of_other_shapes(xs, ys):
         keystream_from_orbit(xs, ys)
 
 
-def test_keystream_build_peaks_at_41_bytes_per_point():
-    # The orbit's two buffers (16 B per point), S_y, and x's descending
-    # order with its sorted values and tie mask: no rank temporaries.
+def test_keystream_from_orbit_rejects_empty_axes():
+    with pytest.raises(InvalidInput, match="^values must be a non-empty 1-D sequence$"):
+        keystream_from_orbit([], [])
+
+
+def test_keystream_build_peaks_at_25_bytes_per_point():
+    # x's and y's descending orders and K at 8 B per point each: each orbit
+    # axis is freed once it is sorted, K comes after both sorts, and the tie
+    # check and the composition work CHUNK positions at a time.
     n = 1 << 18
     params, initial = MapParams(2.5, 1.5), MapState(1 / n, 1 - 1 / n)
     build_keystream(params, initial, 1000)
@@ -404,4 +454,18 @@ def test_keystream_build_peaks_at_41_bytes_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 42 * n
+    assert peak <= 26 * n
+
+
+def test_decrypt_peaks_at_the_keystream_build():
+    # The XOR's temporaries come after the build has freed both orders.
+    n = 1 << 18
+    ciphertext, key = encrypt(random.Random(11).randbytes(n), MapParams(2.5, 1.5))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        decrypt(ciphertext, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27 * n

@@ -107,8 +107,8 @@ def test_score_matches_jaccard_at_table_width_boundaries(n):
 
 def test_score_holds_the_plaintext_once_and_peaks_at_the_keystream_build():
     # The evaluator keeps the plaintext as uint8 over the caller's bytes; a
-    # score peaks in build_keystream (41 B per point), and its XOR values
-    # and table come after the orbit is gone.
+    # score peaks in build_keystream (25 B per point), and its XOR values
+    # and table come after both descending orders are gone.
     n = 1 << 18
     plaintext = random.Random(9).randbytes(n)
     FitnessEvaluator(plaintext[:1000]).score(MapParams(2.5, 1.5))
@@ -123,7 +123,7 @@ def test_score_holds_the_plaintext_once_and_peaks_at_the_keystream_build():
     finally:
         tracemalloc.stop()
     assert held <= 2 * n
-    assert peak <= 43 * n
+    assert peak <= 27 * n
 
 
 def test_building_an_evaluator_makes_no_copy_of_the_plaintext():
