@@ -695,6 +695,20 @@ def test_analyze_lengths_mirrors_single_trial_layout(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_analyze_lengths_rows_follow_the_list_and_the_summary_sorts(tmp_path, capsys):
+    # CSV rows keep the order --lengths gives, trial-minor; the summary
+    # prints one line per length by increasing length.
+    out = tmp_path / "lengths.csv"
+    argv = ["analyze", "lengths", "--lengths", "40,10", "--trials", "2", "--seed", "3",
+            "--max-generations", "3", "--population", "8", "--out", str(out)]
+    assert main(argv) == 0
+    lines = _lines(out)
+    assert lines[0] == "length,trial,generations,max_fitness"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["40", "0"], ["40", "1"], ["10", "0"], ["10", "1"]]
+    summary = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in summary] == ["length 10", "length 40"]
+
+
 def test_analyze_lengths_malformed_list_exits_2(tmp_path, capsys, monkeypatch):
     # An empty item is as malformed as any other, so no list names no lengths.
     from chaocrypt import analysis
