@@ -3,7 +3,6 @@ key optimizer and the chaos diagnostics used to characterize the map."""
 
 from .analysis import (
     DEFAULT_KEYSPACE_RANGES,
-    LengthTrialResult,
     LyapunovResult,
     bifurcation_sweep,
     fitness_landscape,

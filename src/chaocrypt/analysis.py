@@ -57,14 +57,6 @@ class LyapunovResult:
     exponent_2: float
 
 
-@dataclass(frozen=True)
-class LengthTrialResult:
-    length: int
-    trial: int
-    generations: int
-    max_fitness: float
-
-
 def bifurcation_sweep(
     swept_parameter: str,
     fixed_value: float,
@@ -227,11 +219,13 @@ def _derive_seed(base: int, length: int, trial: int, salt: int) -> int:
     return (base * 1_000_003 + length * 7_919 + trial * 104_729 + salt) & 0x7FFFFFFF
 
 
-def length_experiment(lengths, config: GaConfig, trials: int = 1) -> list[LengthTrialResult]:
+def length_experiment(lengths, config: GaConfig, trials: int = 1) -> list[tuple[int, int, int, float]]:
     """Evolve a key for a fresh random text at each length, `trials` times.
 
-    Per-run seeds derive from config.rng_seed, the length, and the trial
-    index, so the whole experiment is reproducible from one seed.
+    Returns one (length, trial, generations, max_fitness) row per run, in
+    the order `lengths` gives and trial-minor.  Per-run seeds derive from
+    config.rng_seed, the length, and the trial index, so the whole
+    experiment is reproducible from one seed.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -240,40 +234,28 @@ def length_experiment(lengths, config: GaConfig, trials: int = 1) -> list[Length
         raise InvalidInput("every length must be >= 1")
     if len(set(lengths)) != len(lengths):
         raise InvalidInput("each length may be given only once")
-    results: list[LengthTrialResult] = []
+    rows = []
     for length in lengths:
         for trial in range(trials):
             text_rng = random.Random(_derive_seed(config.rng_seed, length, trial, 0))
             plaintext = sample_text(length, text_rng)
             run_config = replace(config, rng_seed=_derive_seed(config.rng_seed, length, trial, 1))
             report = evolve(plaintext, run_config)
-            results.append(
-                LengthTrialResult(
-                    length=length,
-                    trial=trial,
-                    generations=report.generations_run,
-                    max_fitness=report.best[2],
-                )
-            )
-    return results
+            rows.append((length, trial, report.generations_run, report.best[2]))
+    return rows
 
 
-def summarize_lengths(results) -> list[tuple[int, float, float, float]]:
-    """Per-length (length, max fitness, mean fitness, mean generations)."""
-    by_length: dict[int, list[LengthTrialResult]] = {}
-    for r in results:
-        by_length.setdefault(r.length, []).append(r)
+def summarize_lengths(rows) -> list[tuple[int, float, float, float]]:
+    """Per-length (length, max fitness, mean fitness, mean generations) of
+    length_experiment's rows, by increasing length."""
+    by_length: dict[int, list[tuple[int, float]]] = {}
+    for length, _, generations, max_fitness in rows:
+        by_length.setdefault(length, []).append((generations, max_fitness))
     out = []
     for length in sorted(by_length):
-        rows = by_length[length]
-        out.append(
-            (
-                length,
-                max(r.max_fitness for r in rows),
-                sum(r.max_fitness for r in rows) / len(rows),
-                sum(r.generations for r in rows) / len(rows),
-            )
-        )
+        generations, fitnesses = zip(*by_length[length])
+        n = len(fitnesses)
+        out.append((length, max(fitnesses), sum(fitnesses) / n, sum(generations) / n))
     return out
 
 

@@ -212,15 +212,15 @@ def cmd_analyze_landscape(args) -> int:
 
 def cmd_analyze_lengths(args) -> int:
     lengths = _parse_numbers(args.lengths, ",", int)
-    results = analysis.length_experiment(lengths, _ga_config(args), trials=args.trials)
+    rows = analysis.length_experiment(lengths, _ga_config(args), trials=args.trials)
     if args.trials == 1:
         header, line = ("length", "generations", "max_fitness"), f"%d,%d,{_NUM}"
-        values = [v for r in results for v in (r.length, r.generations, r.max_fitness)]
+        values = [v for length, _, generations, fitness in rows for v in (length, generations, fitness)]
     else:
         header, line = ("length", "trial", "generations", "max_fitness"), f"%d,%d,%d,{_NUM}"
-        values = [v for r in results for v in (r.length, r.trial, r.generations, r.max_fitness)]
+        values = [v for row in rows for v in row]
     _write_csv(args.out, header, [(line, values)])
-    for length, best, mean, gens in analysis.summarize_lengths(results):
+    for length, best, mean, gens in analysis.summarize_lengths(rows):
         print(f"length {length}: max fitness {best:.4f}, mean fitness {mean:.4f}, mean generations {gens:.1f}")
     return 0
 

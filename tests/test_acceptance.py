@@ -106,20 +106,20 @@ def test_c03_jaccard_oracle_equivalence():
 
 def test_c04_length_fitness_trend():
     t0 = time.perf_counter()
-    rows = {
-        r.length: r
-        for r in length_experiment([10, 100, 1000], GaConfig(rng_seed=42), trials=1)
+    best = {
+        length: max_fitness
+        for length, _, _, max_fitness in length_experiment([10, 100, 1000], GaConfig(rng_seed=42), trials=1)
     }
     elapsed = time.perf_counter() - t0
     detail = (
-        f"best fitness 10->{rows[10].max_fitness:.4f} "
-        f"100->{rows[100].max_fitness:.4f} 1000->{rows[1000].max_fitness:.4f} "
+        f"best fitness 10->{best[10]:.4f} "
+        f"100->{best[100]:.4f} 1000->{best[1000]:.4f} "
         f"in {elapsed:.1f}s (< 300s)"
     )
     ok = (
-        rows[1000].max_fitness >= 99.0
-        and rows[100].max_fitness >= 95.0
-        and rows[1000].max_fitness >= rows[10].max_fitness
+        best[1000] >= 99.0
+        and best[100] >= 95.0
+        and best[1000] >= best[10]
         and elapsed < 300.0
     )
     _report("04", ok, detail)

@@ -310,8 +310,8 @@ def test_length_experiment_refuses_a_repeated_length_before_any_key_search(monke
 def test_length_one_fitness_is_all_or_nothing():
     config = GaConfig(rng_seed=6, max_generations=2)
     rows = length_experiment([1], config, trials=3)
-    for r in rows:
-        assert r.max_fitness in (0.0, 100.0)
+    for _, _, _, max_fitness in rows:
+        assert max_fitness in (0.0, 100.0)
 
 
 def test_sensitivity_zero_epsilon_changes_nothing():

@@ -1,11 +1,14 @@
-"""The names and parameters the benchmark's tracer reaches into still exist.
+"""The names, parameters and result shapes the benchmark reaches into still
+exist.
 
 perfbench/spans.py wraps the functions it lists in LAYERS and reads some of
 their arguments by name; perfbench/selftest.py patches `cli.encrypt` and
-`cli.cipher_decrypt` and checks `ga.build_keystream`.  A change to src/ that
-drops one of them breaks the benchmark without failing anything else in
-this suite, so this module loads spans.py by path (it does not edit it) and
-checks each seam.
+`cli.cipher_decrypt` and checks `ga.build_keystream`; perfbench/run.py reads
+the Lyapunov exponents by attribute, sweeps from `DEFAULT_SWEEP_STATE`,
+joins an orbit's two axes with `+` and catches a bad key file's error as
+`chaocrypt.ChaocryptError`.  A change to src/ that drops one of them breaks
+the benchmark without failing anything else in this suite, so this module
+loads spans.py by path (it does not edit it) and checks each seam.
 """
 
 import importlib.util
@@ -13,7 +16,11 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
-from chaocrypt import analysis, chaos, cipher, cli, ga
+import numpy as np
+import pytest
+
+import chaocrypt
+from chaocrypt import analysis, chaos, cipher, cli, ga, keyfile
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -61,3 +68,19 @@ def test_arguments_the_tracer_reads_by_name_exist():
     assert "params" in params(ga.FitnessEvaluator.score)
     assert "iterations" in params(analysis.lyapunov_spectrum)
     assert "generations_run" in {f.name for f in fields(ga.EvolutionReport)}
+
+
+def test_results_run_py_reads_have_their_shape(tmp_path):
+    result = analysis.lyapunov_spectrum(chaos.MapParams(2.5, 1.5), analysis.DEFAULT_SWEEP_STATE, 20, 5)
+    assert type(result.exponent_1) is float and type(result.exponent_2) is float
+    assert isinstance(analysis.DEFAULT_SWEEP_STATE, chaos.MapState)
+    # sin_fingerprint hashes xs + ys: the 2n values of both axes, x first.
+    n = 64
+    xs, ys = chaos.generate_sequence(chaos.MapParams(3.7, 2.9), chaos.MapState(0.123, 0.456), n, transient=8)
+    joined = np.asarray(xs + ys, dtype="<f8")
+    assert joined.shape == (2 * n,)
+    assert joined.tolist() == [*xs, *ys]
+    bad = tmp_path / "k"
+    bad.write_text("not a key file\n")
+    with pytest.raises(chaocrypt.ChaocryptError):
+        keyfile.read_key_file(bad)

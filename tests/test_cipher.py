@@ -457,6 +457,25 @@ def test_keystream_build_peaks_at_25_bytes_per_point():
     assert peak <= 26 * n
 
 
+def test_a_tied_axis_peaks_no_higher_than_a_tie_free_one():
+    # The unstable order is freed before the stable re-sort, so x's re-sort
+    # holds y's order, -x and x's stable order: 24 B per point, as tie-free.
+    n = 1 << 18
+    rng = np.random.default_rng(n)
+    xs, ys = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    xs[1] = xs[0]
+    keystream_from_orbit(xs[:1000], ys[:1000])
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        key = keystream_from_orbit(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * n
+    assert key.tobytes() == compose_key(rank_descending(xs), rank_descending(ys)).tobytes()
+
+
 def test_decrypt_peaks_at_the_keystream_build():
     # The XOR's temporaries come after the build has freed both orders.
     n = 1 << 18
