@@ -185,11 +185,10 @@ def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> 
     evaluator = FitnessEvaluator(plaintext)
     a = np.repeat(np.linspace(a_low, a_high, grid_a), grid_b)
     b = np.tile(np.linspace(b_low, b_high, grid_b), grid_a)
-    scores = [
-        evaluator.score_key(keystream_from_orbit(x, y))
-        for xs, ys in chaos._orbits(a, b, evaluator.initial, evaluator.n)
-        for x, y in zip(xs, ys)
-    ]
+    scores = []
+    for xs, ys in chaos._orbits(a, b, evaluator.initial, evaluator.n):
+        scores.extend(evaluator.score_key(keystream_from_orbit(x, y)) for x, y in zip(xs, ys))
+        del xs, ys  # before the next block is stepped
     return np.column_stack((a, b, scores))
 
 

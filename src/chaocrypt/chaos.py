@@ -181,6 +181,10 @@ def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
     _numpy_sin_matches_libm, is filled lane by lane from generate_sequence's
     buffers instead.  Raises NumericalError, as generate_sequence does, if
     any lane leaves the finite doubles.
+
+    The next block is stepped while the caller still holds the last one, so
+    a caller that drops each block before it asks for the next holds one
+    block at a time; this generator keeps none of its own.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     lanes = a.size
@@ -198,6 +202,7 @@ def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
                 MapParams(float(a[k]), float(b[k])), initial, n, transient
             )
         yield xs, ys
+        del xs, ys
 
 
 def _step_lanes(a, b, initial, n, transient):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chaocrypt import (
     bifurcation_sweep,
     chaos,
     fitness_landscape,
+    generate_sequence,
     keyspace_size,
     length_experiment,
     lyapunov_spectrum,
@@ -24,14 +26,55 @@ from chaocrypt import (
     sensitivity_probe,
     summarize_lengths,
 )
-from chaocrypt.analysis import COVERAGE_BINS, bin_coverage
-from chaocrypt.chaos import ORBIT_MIN_LANES, TWO_PI
+from chaocrypt.analysis import COVERAGE_BINS, DEFAULT_SWEEP_STATE, bin_coverage
+from chaocrypt.chaos import ORBIT_BLOCK_BYTES, ORBIT_MIN_LANES, TWO_PI
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), in bytes."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _three_uneven_blocks(monkeypatch, n, numpy_sin_matches):
+    """Shrink the orbit blocks so 121 lanes of n points step as blocks of
+    40, 40 and 41 lanes, and return the list the block sizes are added to."""
+    if not numpy_sin_matches:  # the fallback where numpy's sin is not libm's
+        monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
+    monkeypatch.setattr(chaos, "ORBIT_BLOCK_BYTES", 45 * 16 * n)
+    sizes = []
+    real = chaos._orbits
+
+    def orbits(*args):
+        for xs, ys in real(*args):
+            sizes.append(len(xs))
+            yield xs, ys
+
+    monkeypatch.setattr(chaos, "_orbits", orbits)
+    return sizes
 
 
 def test_bifurcation_row_count():
     values, xs = bifurcation_sweep("a", 2.0, 1.0, 4.0, steps=100, iterations=600, transient=500)
     assert values.shape == (100,) and xs.shape == (100, 100)
     assert np.all(xs >= 0.0) and np.all(xs < 1.0)
+
+
+@pytest.mark.parametrize("swept", ["a", "b"])
+@pytest.mark.parametrize("numpy_sin_matches", [True, False])
+def test_bifurcation_sweep_over_several_blocks_matches_generate_sequence(monkeypatch, swept, numpy_sin_matches):
+    sizes = _three_uneven_blocks(monkeypatch, 200, numpy_sin_matches)
+    values, xs = bifurcation_sweep(swept, 2.0, 1.0, 4.0, steps=121, iterations=300, transient=100)
+    assert sizes == [40, 40, 41]
+    for value, row in zip(values.tolist(), xs):
+        params = MapParams(value, 2.0) if swept == "a" else MapParams(2.0, value)
+        want, _ = generate_sequence(params, DEFAULT_SWEEP_STATE, 200, 100)
+        assert row.tobytes() == np.array(want).tobytes()
 
 
 def test_bifurcation_sweep_over_a_is_dense():
@@ -278,6 +321,33 @@ def test_landscape_matches_direct_scoring():
     evaluator = FitnessEvaluator(plaintext)
     for a, b, f in table.tolist():
         assert evaluator.score(MapParams(a, b)) == f
+
+
+@pytest.mark.parametrize("numpy_sin_matches", [True, False])
+def test_landscape_over_several_blocks_matches_direct_scoring(monkeypatch, numpy_sin_matches):
+    plaintext = sample_text(120, random.Random(3))
+    sizes = _three_uneven_blocks(monkeypatch, 120, numpy_sin_matches)
+    table = fitness_landscape(plaintext, (1.0, 4.0), (0.1, 4.0), 11, 11)
+    assert sizes == [40, 40, 41]
+    evaluator = FitnessEvaluator(plaintext)
+    for a, b, f in table.tolist():
+        assert evaluator.score(MapParams(a, b)) == f
+
+
+@pytest.mark.parametrize("numpy_sin_matches", [True, False])
+def test_landscape_holds_one_orbit_block_at_a_time(monkeypatch, numpy_sin_matches):
+    # 400 cells at n = 1,000 are 4 blocks of 100 lanes, 1.6 MB each.  The
+    # landscape drops each block before it asks for the next, and the
+    # lane-by-lane fallback drops its own before it fills the next.
+    if not numpy_sin_matches:
+        monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
+    n, cells = 1000, 400
+    blocks = -(-cells // (ORBIT_BLOCK_BYTES // (16 * n)))
+    assert blocks == 4
+    plaintext = sample_text(n, random.Random(4))
+    fitness_landscape(plaintext, (1.0, 4.0), (0.1, 4.0), 1, 1)
+    peak = _traced_peak(fitness_landscape, plaintext, (1.0, 4.0), (0.1, 4.0), 20, 20)
+    assert peak < 1.25 * (16 * n * cells // blocks)
 
 
 def test_landscape_has_multiple_near_optimal_basins():
