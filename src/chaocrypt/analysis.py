@@ -98,8 +98,10 @@ def bin_coverage(xs) -> np.ndarray:
     arr = np.asarray(xs, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidInput("values must be a non-empty 2-D array: one row per swept value")
+    if not (0.0 <= arr.min() and arr.max() < 1.0):  # a NaN fails both
+        raise InvalidInput("values must lie in [0, 1)")
     # A row's distinct bins: its sorted bin indices, counted where they change.
-    idx = np.sort(np.minimum((arr * COVERAGE_BINS).astype(np.int64), COVERAGE_BINS - 1))
+    idx = np.sort((arr * COVERAGE_BINS).astype(np.int64))  # x < 1 gives a bin < COVERAGE_BINS
     return (1 + np.count_nonzero(idx[:, 1:] != idx[:, :-1], axis=1)) / COVERAGE_BINS
 
 

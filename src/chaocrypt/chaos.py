@@ -177,14 +177,15 @@ def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
     for all its lanes at once in generate_sequence's operation order, so
     each row equals that lane's generate_sequence orbit bit for bit where
     np.sin rounds as math.sin does.  A block of fewer than ORBIT_MIN_LANES
-    lanes, and every block on a machine that fails the probe of
-    _numpy_sin_matches_libm, is filled lane by lane from generate_sequence's
-    buffers instead.  Raises NumericalError, as generate_sequence does, if
-    any lane leaves the finite doubles.
+    lanes, and every block where _numpy_sin_matches_libm's probe fails, is
+    yielded one lane at a time instead, each a (1, n) view of that lane's
+    generate_sequence buffers.  Raises NumericalError, as generate_sequence
+    does, if any lane leaves the finite doubles.
 
     The next block is stepped while the caller still holds the last one, so
     a caller that drops each block before it asks for the next holds one
-    block at a time; this generator keeps none of its own.
+    block at a time, which on the lane path is one orbit (and the last one
+    while this generator makes the next).
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     lanes = a.size
@@ -195,14 +196,9 @@ def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
         if hi - lo >= ORBIT_MIN_LANES and _numpy_sin_matches_libm():
             yield _step_lanes(a[lo:hi], b[lo:hi], initial, n, transient)
             continue
-        xs = np.empty((hi - lo, n))
-        ys = np.empty((hi - lo, n))
         for k in range(lo, hi):
-            xs[k - lo], ys[k - lo] = generate_sequence(
-                MapParams(float(a[k]), float(b[k])), initial, n, transient
-            )
-        yield xs, ys
-        del xs, ys
+            xs, ys = generate_sequence(MapParams(float(a[k]), float(b[k])), initial, n, transient)
+            yield np.asarray(xs)[None], np.asarray(ys)[None]
 
 
 def _step_lanes(a, b, initial, n, transient):

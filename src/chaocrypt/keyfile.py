@@ -29,8 +29,8 @@ def float_to_hex(v: float) -> str:
 
 
 def hex_to_float(s: str) -> float:
-    raw = bytes.fromhex(s)
-    if len(raw) != 8:
+    raw = bytes.fromhex(s)  # which skips spaces: the length of s is checked too
+    if len(s) != 16 or len(raw) != 8:
         raise ValueError("expected 16 hex digits")
     return struct.unpack(">d", raw)[0]
 

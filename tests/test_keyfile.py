@@ -107,6 +107,11 @@ def test_rejects_malformed_lines(tmp_path):
         # 14 hex digits are 7 bytes, not a binary64
         (valid.replace(float_to_hex(2.0).encode(), float_to_hex(2.0)[:14].encode()),
          "field a.hex: invalid bit pattern"),
+        # the right digits with spaces between them are not 16 hex digits
+        (valid.replace(float_to_hex(2.0).encode(), b"40 00 00 00 00 00 00 00"),
+         "field a.hex: invalid bit pattern"),
+        (valid.replace(float_to_hex(2.0).encode(), b"4000 0000 0000 0000"),
+         "field a.hex: invalid bit pattern"),
     )
     for content, message in cases:
         path.write_bytes(content)
