@@ -41,9 +41,9 @@ TWO_PI = 2.0 * math.pi
 ORBIT_BLOCK_BYTES = 2 << 20
 ORBIT_MIN_LANES = 40
 
-# generate_sequence steps a transient in chunks of at most this many points
-# through one scratch buffer, so a long transient is not held in memory.
-TRANSIENT_CHUNK = 1 << 15
+# Points per step of every chunked loop (the transient here; the tie check and
+# the composition of two orders in cipher): temporaries CHUNK long, not n long.
+CHUNK = 1 << 14
 
 # Ranges that encryption keys are drawn from.  Analysis sweeps may step
 # outside them (e.g. b down to 0); a cipher.KeyRecord may not.
@@ -111,14 +111,11 @@ def generate_sequence(
         raise InvalidInput("transient must be >= 0")
     a, b = params.a, params.b
     x, y = initial.x, initial.y
-    if transient:
-        # x and y share the scratch buffer: its points are never read.  The
-        # last chunk steps through a slice of it.
-        scratch = memoryview(array("d", [0.0]) * min(transient, TRANSIENT_CHUNK))
-        for done in range(0, transient, TRANSIENT_CHUNK):
-            chunk = scratch[: transient - done]
-            x, y = _fill(a, b, x, y, chunk, chunk)
-        del scratch, chunk
+    for done in range(0, transient, CHUNK):
+        # x and y share each chunk's scratch buffer: its points are never read.
+        scratch = array("d", [0.0]) * min(CHUNK, transient - done)
+        x, y = _fill(a, b, x, y, scratch, scratch)
+        del scratch
     xs = array("d", [0.0]) * n
     ys = array("d", [0.0]) * n
     x, y = _fill(a, b, x, y, xs, ys)

@@ -28,6 +28,7 @@ from .chaos import (
     A_MIN,
     B_MAX,
     B_MIN,
+    CHUNK,
     MapParams,
     MapState,
     derive_initial_state,
@@ -68,10 +69,6 @@ KEY_FIELDS = tuple(f.name for f in fields(KeyRecord))
 # CHUNK-wise tie check together; the two cost the same near 512-768 values
 # (numpy 2.4, 2-vCPU x86-64 Xeon), so the constant is due to be retuned.
 STABLE_SORT_MAX = 160
-
-# Positions per step of the tie check and of the composition of two orders:
-# their temporaries are CHUNK long, not n long (1 B per point at n = 2**18).
-CHUNK = 1 << 14
 
 
 def _descending_order(values) -> np.ndarray:

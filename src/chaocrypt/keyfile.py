@@ -7,7 +7,7 @@ authority.  Line-oriented UTF-8, one field per line:
     ...
 
 On read the hex bit pattern wins; the decimal must parse back to the same
-double or the file is rejected.
+double, bit for bit, or the file is rejected.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def read_key_file(path) -> KeyRecord:
             dec = float(fields[dec_field])
         except ValueError:
             raise FormatError(f"field {dec_field}: not a number") from None
-        if dec != v:
+        if float_to_hex(dec) != float_to_hex(v):  # bits, so -0 is not 0 and a NaN is itself
             raise FormatError(f"field {name}: decimal and hex encodings disagree")
         values[name] = v
 

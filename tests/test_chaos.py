@@ -18,7 +18,7 @@ from chaocrypt import (
     derive_initial_state,
     generate_sequence,
 )
-from chaocrypt.chaos import ORBIT_MIN_LANES, TRANSIENT_CHUNK
+from chaocrypt.chaos import CHUNK, ORBIT_MIN_LANES
 
 
 def test_derive_initial_state_uniform_bytes():
@@ -183,9 +183,7 @@ def test_transient_is_pure_prefix_discard():
     assert tail_y == full_y[2:]
 
 
-@pytest.mark.parametrize(
-    "transient", [TRANSIENT_CHUNK - 1, TRANSIENT_CHUNK, TRANSIENT_CHUNK + 1, 2 * TRANSIENT_CHUNK + 3]
-)
+@pytest.mark.parametrize("transient", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 def test_transient_stepped_in_chunks_is_one_orbit(transient):
     params, init = MapParams(2.5, 1.5), MapState(0.1, 0.1)
     full_x, full_y = generate_sequence(params, init, transient + 5)
@@ -203,6 +201,7 @@ def test_long_transient_is_not_held_in_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2 << 20
+    assert peak <= 9 * CHUNK  # one chunk's scratch (8 B per point) and the result
 
 
 def test_sequences_are_deterministic():

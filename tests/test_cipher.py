@@ -20,7 +20,8 @@ from chaocrypt import (
     sample_text,
     xor_apply,
 )
-from chaocrypt.cipher import CHUNK, STABLE_SORT_MAX, _descending_order, keystream_from_orbit
+from chaocrypt.chaos import CHUNK
+from chaocrypt.cipher import STABLE_SORT_MAX, _descending_order, keystream_from_orbit
 from chaocrypt.ga import fitness
 
 

@@ -741,6 +741,53 @@ def test_analyze_sensitivity_with_inline_params(tmp_path, capsys):
     assert "fraction changed:" in capsys.readouterr().out
 
 
+def test_keystream_builds_per_command(tmp_path, capsys, monkeypatch):
+    """A GA encrypt builds one keystream per distinct pair its run scores and
+    one more for the winner; the other commands build a fixed few, and the
+    landscape ranks its grid's orbits without build_keystream."""
+    from chaocrypt import cipher, ga
+
+    builds, reports = [], []
+    build, evolve = cipher.build_keystream, ga.evolve
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def recorded_evolve(*args):
+        reports.append(evolve(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cipher, "build_keystream", counted_build)
+    monkeypatch.setattr(ga, "build_keystream", counted_build)  # ga imports the name
+    monkeypatch.setattr(ga, "evolve", recorded_evolve)
+
+    plain = tmp_path / "p"
+    plain.write_bytes(b"a message of reasonable length for probing keys.")
+    assert len(plain.read_bytes()) == 48
+    cipher_out, key = tmp_path / "c", tmp_path / "k"
+    files = ["--out", str(cipher_out), "--key-out", str(key)]
+
+    def count(argv):
+        builds.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        return len(builds)
+
+    ga_builds = count(["encrypt", str(plain), *files, "--seed", "3", "--max-generations", "5"])
+    (report,) = reports
+    pairs = {(a, b) for population in report.history for a, b, _ in population}
+    assert ga_builds == len(pairs) + 1 == 45
+    assert count(["encrypt", str(plain), *files, "--skip-ga", "--a", "2.5", "--b", "1.5"]) == 2
+    assert count(["decrypt", str(cipher_out), "--key", str(key), "--out", str(tmp_path / "d")]) == 1
+    sensitivity = ["analyze", "sensitivity", "--plaintext", str(plain), "--key", str(key), "--component", "a",
+                   "--epsilon", "1e-15"]
+    assert count(sensitivity) == 2
+    landscape = ["analyze", "landscape", "--plaintext", str(plain), "--grid-a", "3", "--grid-b", "3",
+                 "--out", str(tmp_path / "g.csv")]
+    assert count(landscape) == 0
+
+
 def test_keyspace_defaults_print_paper_size(capsys):
     assert main(["keyspace"]) == 0
     out = capsys.readouterr().out

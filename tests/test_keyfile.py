@@ -84,6 +84,14 @@ def test_rejects_decimal_hex_mismatch(tmp_path):
     path.write_text(text)
     with pytest.raises(FormatError, match="a"):
         read_key_file(path)
+    # -0.0 == 0.0, but the two are different keys: the bits must agree
+    write_key_file(KeyRecord(2.0, 1.0, 1.0, 0.0), path)
+    zero = path.read_text()
+    for old, new in (("y0.dec = 0\n", "y0.dec = -0\n"), ("y0.hex = 0000000000000000", "y0.hex = 8000000000000000")):
+        assert old in zero
+        path.write_text(zero.replace(old, new, 1))
+        with pytest.raises(FormatError, match="^field y0: decimal and hex encodings disagree$"):
+            read_key_file(path)
 
 
 def test_rejects_missing_field(tmp_path):
@@ -132,8 +140,8 @@ def test_rejects_out_of_range_decoded_values(tmp_path):
     path = tmp_path / "key.txt"
     write_key_file(KeyRecord(2.0, 1.0, 0.5, 0.5), path)
     valid = path.read_text()
-    # a non-finite field decodes, and KeyRecord's range test refuses it
-    for dec, hex_digits in (("9", float_to_hex(9.0)), ("inf", "7FF0000000000000")):
+    # a non-finite field decodes, and KeyRecord's range test refuses it (a NaN too)
+    for dec, hex_digits in (("9", float_to_hex(9.0)), ("inf", "7FF0000000000000"), ("nan", "7FF8000000000000")):
         text = valid.replace("a.dec = 2", f"a.dec = {dec}", 1).replace(float_to_hex(2.0), hex_digits, 1)
         path.write_text(text)
         with pytest.raises(FormatError) as exc:
