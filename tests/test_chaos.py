@@ -183,7 +183,12 @@ def test_transient_is_pure_prefix_discard():
     assert tail_y == full_y[2:]
 
 
-@pytest.mark.parametrize("transient", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+# The first chunk's edges, then the second's and a ragged tail four chunks in.
+@pytest.mark.parametrize(
+    "transient",
+    [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+     2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 4 * CHUNK + 3],
+)
 def test_transient_stepped_in_chunks_is_one_orbit(transient):
     params, init = MapParams(2.5, 1.5), MapState(0.1, 0.1)
     full_x, full_y = generate_sequence(params, init, transient + 5)
