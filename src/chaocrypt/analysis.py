@@ -121,8 +121,9 @@ def lyapunov_spectrum(
     with Gram-Schmidt re-orthonormalization every step; the exponents are the
     per-step averages of log stretch factors over the post-transient window.
     The frame is carried through the transient too, so it is already aligned
-    when measurement starts.  The orbit comes from generate_sequence, which
-    raises NumericalError if it leaves the finite doubles.
+    when measurement starts.  The orbit comes from generate_sequence and
+    cos(2*pi*y) from libm.  Raises NumericalError if the orbit leaves the
+    finite doubles, or if a stretch factor is 0, +inf or NaN at any step.
     """
     _check_window(iterations, transient)
     a = params.a
@@ -132,38 +133,37 @@ def lyapunov_spectrum(
     # TWO_PI * a * math.cos(TWO_PI * y) and -2.0 * a * x.
     x = np.concatenate(([initial.x], np.asarray(xs)[:-1]))
     y = np.concatenate(([initial.y], np.asarray(ys)[:-1]))
-    if chaos._numpy_sin_matches_libm():  # the probe that guards chaos._orbits
-        cos_2pi_y = np.cos(TWO_PI * y)
-    else:
-        cos_2pi_y = np.array([math.cos(v) for v in (TWO_PI * y).tolist()])
+    cos_2pi_y = np.fromiter(map(math.cos, (TWO_PI * y).tolist()), np.float64, iterations)
     # An entry that overflows or turns NaN needs no warning: the frame
-    # check below finds the non-finite stretch it causes.
+    # checks below find the non-finite stretch it causes.
     with np.errstate(all="ignore"):
         j12s = (TWO_PI * a * cos_2pi_y).tolist()
         j21s = (-2.0 * a * x).tolist()
-    hypot, log, inf = math.hypot, math.log, math.inf
+    hypot, log = math.hypot, math.log
     v1x, v1y = 1.0, 0.0
     v2x, v2y = 0.0, 1.0
     s1 = s2 = 0.0
-    for i, j12, j21 in zip(range(iterations), j12s, j21s):
-        u1x = v1x + j12 * v1y
-        u1y = j21 * v1x + v1y
-        u2x = v2x + j12 * v2y
-        u2y = j21 * v2x + v2y
-        r1 = hypot(u1x, u1y)
-        if not 0.0 < r1 < inf:  # also false for NaN
-            raise NumericalError("tangent frame degenerated")
-        e1x, e1y = u1x / r1, u1y / r1
-        d = u2x * e1x + u2y * e1y
-        w2x, w2y = u2x - d * e1x, u2y - d * e1y
-        r2 = hypot(w2x, w2y)
-        if not 0.0 < r2 < inf:
-            raise NumericalError("tangent frame degenerated")
-        v1x, v1y = e1x, e1y
-        v2x, v2y = w2x / r2, w2y / r2
-        if i >= transient:
-            s1 += log(r1)
-            s2 += log(r2)
+    try:
+        for i, j12, j21 in zip(range(iterations), j12s, j21s):
+            u1x = v1x + j12 * v1y
+            u1y = j21 * v1x + v1y
+            u2x = v2x + j12 * v2y
+            u2y = j21 * v2x + v2y
+            r1 = hypot(u1x, u1y)
+            v1x, v1y = u1x / r1, u1y / r1
+            d = u2x * v1x + u2y * v1y
+            w2x, w2y = u2x - d * v1x, u2y - d * v1y
+            r2 = hypot(w2x, w2y)
+            v2x, v2y = w2x / r2, w2y / r2
+            if i >= transient:
+                s1 += log(r1)
+                s2 += log(r2)
+    except ZeroDivisionError:  # a stretch of 0
+        raise NumericalError("tangent frame degenerated") from None
+    # A stretch of +inf or NaN leaves a frame vector zero or NaN: every later
+    # step divides by 0 or stretches by NaN, up to the window's last step.
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise NumericalError("tangent frame degenerated")
     measured = iterations - transient
     l1, l2 = s1 / measured, s2 / measured
     if l2 > l1:

@@ -239,15 +239,16 @@ def test_lyapunov_bits_are_pinned(params, iterations, transient, hex_1, hex_2):
     assert (result.exponent_1.hex(), result.exponent_2.hex()) == (hex_1, hex_2)
 
 
-@pytest.mark.parametrize("numpy_trig_matches", [True, False])
-def test_lyapunov_cells_are_pinned_with_and_without_numpy_cos(monkeypatch, numpy_trig_matches):
-    if not numpy_trig_matches:  # the fallback where numpy's cos is not libm's
+@pytest.mark.parametrize("numpy_sin_matches", [True, False])
+def test_lyapunov_cells_are_pinned_with_and_without_numpy_cos(monkeypatch, numpy_sin_matches):
+    # The exponents take cos from libm alone, whether or not the grids' sin
+    # probe passes: a call to numpy's cos fails the test.
+    def no_cos(*args):
+        raise AssertionError("np.cos called by lyapunov_spectrum")
 
-        def no_cos(*args):
-            raise AssertionError("np.cos called after the probe failed")
-
+    if not numpy_sin_matches:
         monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
-        monkeypatch.setattr(np, "cos", no_cos)
+    monkeypatch.setattr(np, "cos", no_cos)
     for params, iterations, transient, hex_1, hex_2 in [
         (MapParams(2.0, 2.0), 2500, 500, "0x1.4a70c2789c3d2p+0", "0x1.ae203836cb772p-1"),
         (MapParams(3.7, 2.9), 1, 0, "0x1.3dfa5f3472933p+1", "0x1.bf2faf87328c5p-3"),
@@ -265,17 +266,17 @@ def test_lyapunov_cells_are_pinned_with_and_without_numpy_cos(monkeypatch, numpy
     assert digest == "b8486ac7682eba7de64391404b9906f27c18978e0fce78ab4a906c6abac30f9f"
 
 
-def test_trig_probe_fails_when_numpy_cos_differs_from_libm(monkeypatch):
-    real_cos = np.cos
+def test_trig_probe_fails_when_numpy_sin_differs_from_libm(monkeypatch):
+    real_sin = np.sin
 
-    def cos_one_ulp_off(values):
-        out = real_cos(values)
+    def sin_one_ulp_off(values):
+        out = real_sin(values)
         out[0] = np.nextafter(out[0], np.inf)
         return out
 
     chaos._numpy_sin_matches_libm.cache_clear()
     try:
-        monkeypatch.setattr(np, "cos", cos_one_ulp_off)
+        monkeypatch.setattr(np, "sin", sin_one_ulp_off)
         assert chaos._numpy_sin_matches_libm() is False
     finally:
         monkeypatch.undo()
@@ -299,6 +300,85 @@ def test_lyapunov_rejects_a_frame_that_degenerates_without_warnings():
     assert TWO_PI * a * math.cos(0.0) == 0.5 and -2.0 * a * x0 == 2.0
     with pytest.raises(NumericalError, match="^tangent frame degenerated$"):
         lyapunov_spectrum(MapParams(a, 1.0), MapState(x0, 0.0), 3, 1)
+
+
+def _lyapunov_checked_each_step(params, initial, iterations, transient):
+    """The Lyapunov loop as it was before the frame was checked once: libm's
+    cos point by point, and both stretch factors range-checked at every
+    step.  The oracle of the differential test below."""
+    analysis._check_window(iterations, transient)
+    a = params.a
+    xs, ys = generate_sequence(params, initial, iterations)
+    x = np.concatenate(([initial.x], np.asarray(xs)[:-1]))
+    y = np.concatenate(([initial.y], np.asarray(ys)[:-1]))
+    cos_2pi_y = np.array([math.cos(v) for v in (TWO_PI * y).tolist()])
+    with np.errstate(all="ignore"):
+        j12s = (TWO_PI * a * cos_2pi_y).tolist()
+        j21s = (-2.0 * a * x).tolist()
+    v1x, v1y = 1.0, 0.0
+    v2x, v2y = 0.0, 1.0
+    s1 = s2 = 0.0
+    for i, j12, j21 in zip(range(iterations), j12s, j21s):
+        u1x = v1x + j12 * v1y
+        u1y = j21 * v1x + v1y
+        u2x = v2x + j12 * v2y
+        u2y = j21 * v2x + v2y
+        r1 = math.hypot(u1x, u1y)
+        if not 0.0 < r1 < math.inf:  # also false for NaN
+            raise NumericalError("tangent frame degenerated")
+        e1x, e1y = u1x / r1, u1y / r1
+        d = u2x * e1x + u2y * e1y
+        w2x, w2y = u2x - d * e1x, u2y - d * e1y
+        r2 = math.hypot(w2x, w2y)
+        if not 0.0 < r2 < math.inf:
+            raise NumericalError("tangent frame degenerated")
+        v1x, v1y = e1x, e1y
+        v2x, v2y = w2x / r2, w2y / r2
+        if i >= transient:
+            s1 += math.log(r1)
+            s2 += math.log(r2)
+    measured = iterations - transient
+    l1, l2 = s1 / measured, s2 / measured
+    if l2 > l1:
+        l1, l2 = l2, l1
+    return analysis.LyapunovResult(l1, l2)
+
+
+def _lyapunov_outcome(fn, *args):
+    """The exponents' bits, or the type and message of the error raised."""
+    try:
+        result = fn(*args)
+    except (InvalidInput, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+    return result.exponent_1.hex(), result.exponent_2.hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_lyapunov_matches_the_loop_checked_each_step():
+    # Crafted cases at the edges of the frame checks: huge |a| overflows
+    # the Jacobian, a = 1/(4*pi) with x0 = -4*pi makes it singular, a = 0
+    # makes it the identity, and huge or tiny starts leave the doubles.
+    rng = random.Random(30)
+    four_pi = 4.0 * math.pi
+    a_values = [0.0, 1.0 / four_pi, 1.7e308, -1.7e308, 1e308, -1e308, 2.0, 3.7, -2.5]
+    points = [0.0, -four_pi, 1e300, -1e300, 1e-300, -1e-300, 0.1, 0.5]
+    outcomes = {}
+    for case in range(3000):
+        if case % 3:
+            a = rng.choice(a_values)
+        else:  # any magnitude up to 1.7e308, either sign
+            a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 308.0) * rng.uniform(0.1, 1.7)
+        params = MapParams(a, rng.choice((0.0, 0.5, 1.0, rng.uniform(-4.0, 4.0))))
+        initial = MapState(rng.choice(points), rng.choice(points))
+        iterations = rng.randint(1, 60)
+        transient = rng.randint(0, iterations - 1)
+        args = (params, initial, iterations, transient)
+        want = _lyapunov_outcome(_lyapunov_checked_each_step, *args)
+        assert _lyapunov_outcome(lyapunov_spectrum, *args) == want, args
+        kind = want if want[0] == "NumericalError" else "finite"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # Every outcome is well represented, so no one of them is checked vacuously.
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 300, outcomes
 
 
 def test_lyapunov_exponents_sorted_descending():
