@@ -88,7 +88,8 @@ def bifurcation_sweep(
         a, b = values, fixed_value
     else:
         a, b = fixed_value, values
-    xs = np.concatenate([block for block, _ in chaos._orbits(a, b, initial_state, m, transient)])
+    orbits = chaos._orbits(a, b, initial_state, m, transient)
+    xs = np.fromiter((x for x, _ in orbits), np.dtype((np.float64, (m,))), steps)
     return values, xs
 
 
@@ -187,10 +188,8 @@ def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> 
     evaluator = FitnessEvaluator(plaintext)
     a = np.repeat(np.linspace(a_low, a_high, grid_a), grid_b)
     b = np.tile(np.linspace(b_low, b_high, grid_b), grid_a)
-    scores = []
-    for xs, ys in chaos._orbits(a, b, evaluator.initial, evaluator.n):
-        scores.extend(evaluator.score_key(keystream_from_orbit(x, y)) for x, y in zip(xs, ys))
-        del xs, ys  # before the next block is stepped
+    orbits = chaos._orbits(a, b, evaluator.initial, evaluator.n)
+    scores = [evaluator.score_key(keystream_from_orbit(x, y)) for x, y in orbits]
     return np.column_stack((a, b, scores))
 
 

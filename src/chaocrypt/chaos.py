@@ -160,24 +160,20 @@ def _numpy_sin_matches_libm() -> bool:
 
 def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
     """generate_sequence for K lanes of parameters (a[k], b[k]), all from
-    `initial`: yields (xs, ys) blocks of shape (lanes, n), lanes in order.
-    Its callers, analysis.bifurcation_sweep and analysis.fitness_landscape,
+    `initial`: yields one (xs, ys) orbit per lane, in lane order.  Its
+    callers, analysis.bifurcation_sweep and analysis.fitness_landscape,
     have checked what it is given: a and b are finite and broadcast to one
     1-D sequence of lanes, n >= 1 and transient >= 0.
 
-    A block holds at most ORBIT_BLOCK_BYTES of xs and ys.  It is stepped
-    for all its lanes at once in generate_sequence's operation order, so
-    each row equals that lane's generate_sequence orbit bit for bit where
-    np.sin rounds as math.sin does.  A block of fewer than ORBIT_MIN_LANES
-    lanes, and every block where _numpy_sin_matches_libm's probe fails, is
-    yielded one lane at a time instead, each a (1, n) view of that lane's
-    generate_sequence buffers.  Raises NumericalError, as generate_sequence
-    does, if any lane leaves the finite doubles.
-
-    The next block is stepped while the caller still holds the last one, so
-    a caller that drops each block before it asks for the next holds one
-    block at a time, which on the lane path is one orbit (and the last one
-    while this generator makes the next).
+    Lanes are stepped in blocks of at most ORBIT_BLOCK_BYTES of xs and ys,
+    all lanes of a block at once in generate_sequence's operation order, so
+    each lane's orbit, yielded as its own contiguous copy, equals its
+    generate_sequence orbit bit for bit where np.sin rounds as math.sin
+    does.  A block of fewer than ORBIT_MIN_LANES lanes, and every block
+    where _numpy_sin_matches_libm's probe fails, is stepped one lane at a
+    time, each lane yielding generate_sequence's own return.  Raises
+    NumericalError, as generate_sequence does, if any lane leaves the
+    finite doubles.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     lanes = a.size
@@ -186,16 +182,18 @@ def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
     for i in range(blocks):
         lo, hi = i * lanes // blocks, (i + 1) * lanes // blocks
         if hi - lo >= ORBIT_MIN_LANES and _numpy_sin_matches_libm():
-            yield _step_lanes(a[lo:hi], b[lo:hi], initial, n, transient)
+            xs, ys = _step_lanes(a[lo:hi], b[lo:hi], initial, n, transient)
+            for k in range(hi - lo):
+                yield xs[:, k].copy(), ys[:, k].copy()
+            del xs, ys  # before the next block is stepped
             continue
         for k in range(lo, hi):
-            xs, ys = generate_sequence(MapParams(float(a[k]), float(b[k])), initial, n, transient)
-            yield np.asarray(xs)[None], np.asarray(ys)[None]
+            yield generate_sequence(MapParams(float(a[k]), float(b[k])), initial, n, transient)
 
 
 def _step_lanes(a, b, initial, n, transient):
-    """generate_sequence's loop over the lanes of a and b at once.  Row i of
-    the (n, lanes) buffers is step i; the caller gets them transposed."""
+    """generate_sequence's loop over the lanes of a and b at once.  Returns
+    (n, lanes) buffers of xs and ys: row i is step i, column k lane k."""
     xs = np.empty((n, a.size))
     ys = np.empty((n, a.size))
     x, y = np.full(a.size, initial.x), np.full(a.size, initial.y)
@@ -210,4 +208,4 @@ def _step_lanes(a, b, initial, n, transient):
                 ys[i] = y
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NumericalError("orbit left the finite doubles")
-    return xs.T, ys.T
+    return xs, ys

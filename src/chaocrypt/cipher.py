@@ -64,10 +64,10 @@ class KeyRecord:
 # KeyRecord's field names in declaration order: the key file's field order.
 KEY_FIELDS = tuple(f.name for f in fields(KeyRecord))
 
-# The longest array _descending_order sorts with one stable argsort.  Here a
-# stable argsort of orbit values costs 0.6 of the unstable sort and the
-# CHUNK-wise tie check together; the two cost the same near 512-768 values
-# (numpy 2.4, 2-vCPU x86-64 Xeon), so the constant is due to be retuned.
+# The longest array _descending_order sorts with one stable argsort.  On orbit
+# axes a stable argsort costs 0.35-0.7 of the unstable sort and the CHUNK-wise
+# tie check together at 16-130 values, 0.6-1.04 at 160 and 0.9-1.9 at 256
+# (numpy 2.4, 2-vCPU x86-64 Xeon, over repeated runs): they cross in 160-256.
 STABLE_SORT_MAX = 160
 
 

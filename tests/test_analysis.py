@@ -43,20 +43,17 @@ def _traced_peak(fn, *args):
 
 def _three_uneven_blocks(monkeypatch, n, numpy_sin_matches):
     """Shrink the orbit blocks so 121 lanes of n points step as blocks of
-    40, 40 and 41 lanes, and return the list the block sizes are added to.
-    The lane-by-lane fallback yields them as 121 blocks of one lane."""
+    40, 40 and 41 lanes, and return the list that the lanes of each
+    chaos._step_lanes call are added to.  The lane-by-lane fallback adds a
+    1 for each of its 121 generate_sequence calls instead."""
     if not numpy_sin_matches:  # the fallback where numpy's sin is not libm's
         monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
+    chaos._numpy_sin_matches_libm()  # probed before the count starts
     monkeypatch.setattr(chaos, "ORBIT_BLOCK_BYTES", 45 * 16 * n)
     sizes = []
-    real = chaos._orbits
-
-    def orbits(*args):
-        for xs, ys in real(*args):
-            sizes.append(len(xs))
-            yield xs, ys
-
-    monkeypatch.setattr(chaos, "_orbits", orbits)
+    step_lanes, generate = chaos._step_lanes, chaos.generate_sequence
+    monkeypatch.setattr(chaos, "_step_lanes", lambda a, *args: sizes.append(len(a)) or step_lanes(a, *args))
+    monkeypatch.setattr(chaos, "generate_sequence", lambda *args: sizes.append(1) or generate(*args))
     return sizes
 
 
@@ -64,6 +61,8 @@ def test_bifurcation_row_count():
     values, xs = bifurcation_sweep("a", 2.0, 1.0, 4.0, steps=100, iterations=600, transient=500)
     assert values.shape == (100,) and xs.shape == (100, 100)
     assert np.all(xs >= 0.0) and np.all(xs < 1.0)
+    _, xs = bifurcation_sweep("b", 2.0, 0.0, 4.0, steps=3, iterations=11, transient=10)
+    assert xs.shape == (3, 1)  # one point per row is still a row
 
 
 @pytest.mark.parametrize("swept", ["a", "b"])
@@ -431,9 +430,10 @@ def test_landscape_over_several_blocks_matches_direct_scoring(monkeypatch, numpy
 
 @pytest.mark.parametrize("numpy_sin_matches", [True, False])
 def test_landscape_holds_one_orbit_block_at_a_time(monkeypatch, numpy_sin_matches):
-    # 400 cells at n = 1,000 are 4 blocks of 100 lanes, 1.6 MB each.  The
-    # landscape drops each block before it asks for the next, and the
-    # lane-by-lane fallback yields one orbit at a time, not a block.
+    # 400 cells at n = 1,000 are 4 blocks of 100 lanes, 1.6 MB each.
+    # chaos._orbits drops each block before it steps the next and yields one
+    # orbit at a time, so the landscape holds one block and one orbit; the
+    # lane-by-lane fallback makes no block.
     if not numpy_sin_matches:
         monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
     n, cells = 1000, 400
@@ -443,6 +443,22 @@ def test_landscape_holds_one_orbit_block_at_a_time(monkeypatch, numpy_sin_matche
     fitness_landscape(plaintext, (1.0, 4.0), (0.1, 4.0), 1, 1)
     peak = _traced_peak(fitness_landscape, plaintext, (1.0, 4.0), (0.1, 4.0), 20, 20)
     assert peak < (1.25 * (16 * n * cells // blocks) if numpy_sin_matches else 0.1 * ORBIT_BLOCK_BYTES)
+
+
+@pytest.mark.parametrize("numpy_sin_matches", [True, False])
+def test_sweep_over_several_blocks_holds_its_output_once(monkeypatch, numpy_sin_matches):
+    # 200 steps at m = 1,000 are 5 blocks of 40 lanes.  The sweep copies each
+    # orbit into its output as chaos._orbits yields it, so besides the output
+    # it holds one block and one orbit: no list of blocks, and no join.
+    if not numpy_sin_matches:
+        monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
+    chaos._numpy_sin_matches_libm()  # probed before the peak is traced
+    m, steps = 1000, 200
+    monkeypatch.setattr(chaos, "ORBIT_BLOCK_BYTES", 45 * 16 * m)
+    blocks = -(-steps // 45)
+    assert blocks == 5
+    peak = _traced_peak(bifurcation_sweep, "a", 2.0, 1.0, 4.0, steps, m + 100, 100)
+    assert peak < 8 * steps * m + 1.25 * (16 * m * steps // blocks)
 
 
 def test_landscape_has_multiple_near_optimal_basins():

@@ -273,11 +273,19 @@ def test_orbit_leaving_the_finite_doubles_raises(params, state, transient):
 
 
 def _lanes(a, b, initial, n, transient):
-    """Every row chaos._orbits yields, stacked, and the number of blocks."""
-    blocks = list(chaos._orbits(a, b, initial, n, transient))
-    xs = np.concatenate([block for block, _ in blocks])
-    ys = np.concatenate([block for _, block in blocks])
-    return xs, ys, len(blocks)
+    """Every orbit chaos._orbits yields, stacked, and the number of blocks
+    it steps: one per chaos._step_lanes call, and one per lane that it
+    steps alone with generate_sequence."""
+    chaos._numpy_sin_matches_libm()  # probed before the count starts
+    sizes = []
+    with pytest.MonkeyPatch.context() as patch:
+        step_lanes, generate = chaos._step_lanes, chaos.generate_sequence
+        patch.setattr(chaos, "_step_lanes", lambda a, *args: sizes.append(len(a)) or step_lanes(a, *args))
+        patch.setattr(chaos, "generate_sequence", lambda *args: sizes.append(1) or generate(*args))
+        orbits = list(chaos._orbits(a, b, initial, n, transient))
+    xs = np.array([x for x, _ in orbits])
+    ys = np.array([y for _, y in orbits])
+    return xs, ys, len(sizes)
 
 
 @pytest.mark.parametrize("transient", [0, 3])
@@ -304,7 +312,7 @@ def test_orbits_match_generate_sequence_lane_by_lane(monkeypatch, lanes, n, bloc
     a[0], b[0] = 2e-20, 0.0
     initial = MapState(1e-20, 0.75)
     xs, ys, count = _lanes(a, b, initial, n, transient)
-    # below the lane floor, and where the probe fails, each lane is a block
+    # below the lane floor, and where the probe fails, each lane is stepped alone
     stepped_together = lanes // blocks >= ORBIT_MIN_LANES and chaos._numpy_sin_matches_libm()
     assert count == (blocks if stepped_together else lanes)
     assert xs.shape == ys.shape == (lanes, n)
