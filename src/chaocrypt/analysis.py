@@ -89,7 +89,7 @@ def bifurcation_sweep(
     else:
         a, b = fixed_value, values
     orbits = chaos._orbits(a, b, initial_state, m, transient)
-    xs = np.fromiter((x for x, _ in orbits), np.dtype((np.float64, (m,))), steps)
+    xs = np.fromiter(orbits, np.dtype((np.float64, (m,))), steps)
     return values, xs
 
 
@@ -176,8 +176,8 @@ def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> 
     """Fitness of encrypting `plaintext` at every point of an (a, b) grid.
 
     Returns grid_a * grid_b rows of (a, b, fitness), a-major order.  Each
-    cell's orbit comes from chaos._orbits and is ranked and scored exactly as
-    FitnessEvaluator.score would.
+    cell's xs come from chaos._orbits and its ys from chaos._ys_of, and the
+    orbit is ranked and scored exactly as FitnessEvaluator.score would.
     """
     a_low, a_high = a_range
     b_low, b_high = b_range
@@ -188,8 +188,9 @@ def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> 
     evaluator = FitnessEvaluator(plaintext)
     a = np.repeat(np.linspace(a_low, a_high, grid_a), grid_b)
     b = np.tile(np.linspace(b_low, b_high, grid_b), grid_a)
-    orbits = chaos._orbits(a, b, evaluator.initial, evaluator.n)
-    scores = [evaluator.score_key(keystream_from_orbit(x, y)) for x, y in orbits]
+    start = evaluator.initial
+    orbits = zip(a, chaos._orbits(a, b, start, evaluator.n))
+    scores = [evaluator.score_key(keystream_from_orbit(x, chaos._ys_of(ak, start, x))) for ak, x in orbits]
     return np.column_stack((a, b, scores))
 
 

@@ -15,8 +15,9 @@ correctly rounded everywhere.  The test suite pins reference orbits.
 
 generate_sequence is the definition of an orbit.  `_orbits` steps many of
 them at once with numpy in the same operation order for the analysis grids,
-and is used only where numpy's sin returns libm's bits on a fixed probe; the
-tests bind the two.
+keeping only their x values, and is used only where numpy's sin returns
+libm's bits on a fixed probe; `_ys_of` sums a lane's y values back from its
+xs in the scalar loop's order.  The tests bind all three.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from .errors import InvalidInput, NumericalError
 
 TWO_PI = 2.0 * math.pi
 
-# `_orbits` holds at most this many bytes of xs and ys per block of lanes, and
+# `_orbits` holds at most this many bytes of x values per block of lanes, and
 # steps a block in numpy only if it holds at least ORBIT_MIN_LANES lanes:
 # below that numpy's fixed cost per step outweighs the lanes it steps at once.
-# Measured at n = 1,000-4,096 (Xeon, numpy 2.4): lane by lane takes 0.9x the
-# CPU time of numpy at 32 lanes, 1.07-1.11x at 40 and 1.4-1.6x at 63.
+# Measured at n = 1,000-4,096 (Xeon, numpy 2.4): lane by lane takes 1.04-1.15x
+# the CPU time of numpy at 32 lanes, 1.29-1.39x at 40 and 1.9-2.0x at 63.
 ORBIT_BLOCK_BYTES = 2 << 20
 ORBIT_MIN_LANES = 40
 
@@ -159,53 +160,68 @@ def _numpy_sin_matches_libm() -> bool:
 
 
 def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
-    """generate_sequence for K lanes of parameters (a[k], b[k]), all from
-    `initial`: yields one (xs, ys) orbit per lane, in lane order.  Its
+    """generate_sequence's xs for K lanes of parameters (a[k], b[k]), all
+    from `initial`: yields one xs array per lane, in lane order.  Its
     callers, analysis.bifurcation_sweep and analysis.fitness_landscape,
     have checked what it is given: a and b are finite and broadcast to one
     1-D sequence of lanes, n >= 1 and transient >= 0.
 
-    Lanes are stepped in blocks of at most ORBIT_BLOCK_BYTES of xs and ys,
-    all lanes of a block at once in generate_sequence's operation order, so
-    each lane's orbit, yielded as its own contiguous copy, equals its
-    generate_sequence orbit bit for bit where np.sin rounds as math.sin
-    does.  A block of fewer than ORBIT_MIN_LANES lanes, and every block
-    where _numpy_sin_matches_libm's probe fails, is stepped one lane at a
-    time, each lane yielding generate_sequence's own return.  Raises
-    NumericalError, as generate_sequence does, if any lane leaves the
-    finite doubles.
+    Lanes are stepped in blocks of at most ORBIT_BLOCK_BYTES of xs, all
+    lanes of a block at once in generate_sequence's operation order, so each
+    lane's xs, yielded as its own contiguous copy, equal its
+    generate_sequence xs bit for bit where np.sin rounds as math.sin does.
+    A block of fewer than ORBIT_MIN_LANES lanes, and every block where
+    _numpy_sin_matches_libm's probe fails, is stepped one lane at a time,
+    each lane yielding generate_sequence's own xs.  Raises NumericalError,
+    as generate_sequence does, if any lane leaves the finite doubles.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     lanes = a.size
-    capacity = max(1, ORBIT_BLOCK_BYTES // (16 * n))
+    capacity = max(1, ORBIT_BLOCK_BYTES // (8 * n))
     blocks = -(-lanes // capacity)
     for i in range(blocks):
         lo, hi = i * lanes // blocks, (i + 1) * lanes // blocks
         if hi - lo >= ORBIT_MIN_LANES and _numpy_sin_matches_libm():
-            xs, ys = _step_lanes(a[lo:hi], b[lo:hi], initial, n, transient)
+            xs = _step_lanes(a[lo:hi], b[lo:hi], initial, n, transient)
             for k in range(hi - lo):
-                yield xs[:, k].copy(), ys[:, k].copy()
-            del xs, ys  # before the next block is stepped
+                yield xs[:, k].copy()
+            del xs  # before the next block is stepped
             continue
         for k in range(lo, hi):
-            yield generate_sequence(MapParams(float(a[k]), float(b[k])), initial, n, transient)
+            yield generate_sequence(MapParams(float(a[k]), float(b[k])), initial, n, transient)[0]
 
 
 def _step_lanes(a, b, initial, n, transient):
     """generate_sequence's loop over the lanes of a and b at once.  Returns
-    (n, lanes) buffers of xs and ys: row i is step i, column k lane k."""
+    an (n, lanes) buffer of xs: row i is step i, column k lane k.  y is
+    stepped but not stored."""
     xs = np.empty((n, a.size))
-    ys = np.empty((n, a.size))
     x, y = np.full(a.size, initial.x), np.full(a.size, initial.y)
     # A lane that leaves the finite doubles turns NaN or infinite and stays
     # so (np.sin(inf) is NaN where math.sin raises); the final check finds it.
     with np.errstate(all="ignore"):
         for i in range(-transient, n):
-            x, y = (x + b + a * np.sin(TWO_PI * y)) % 1.0, 1.0 - a * x * x + y
+            # v - floor(v) is the double that v % 1.0 gives, for every v: the
+            # exact fraction for v >= 0, f + 1 rounded once below 0, and +0.0
+            # for integers and -0.0; it skips the divmod that % pays for.
+            v = x + b + a * np.sin(TWO_PI * y)
+            x, y = v - np.floor(v), 1.0 - a * x * x + y
             x[x >= 1.0] = 0.0
             if i >= 0:
                 xs[i] = x
-                ys[i] = y
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NumericalError("orbit left the finite doubles")
-    return xs, ys
+    return xs
+
+
+def _ys_of(a, start: MapState, xs):
+    """The ys of the orbit at parameter a whose points after `start` have x
+    values xs: each step's 1 - a*x*x from the x before it, as
+    generate_sequence computes it, summed from start.y in step order
+    (np.add.accumulate adds one value at a time, unlike np.sum), so they
+    equal generate_sequence's ys bit for bit."""
+    d = np.empty(len(xs) + 1)
+    d[0], d[1] = start.y, start.x
+    d[2:] = xs[:-1]
+    d[1:] = 1.0 - a * d[1:] * d[1:]
+    return np.add.accumulate(d)[1:]

@@ -49,7 +49,7 @@ def _three_uneven_blocks(monkeypatch, n, numpy_sin_matches):
     if not numpy_sin_matches:  # the fallback where numpy's sin is not libm's
         monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
     chaos._numpy_sin_matches_libm()  # probed before the count starts
-    monkeypatch.setattr(chaos, "ORBIT_BLOCK_BYTES", 45 * 16 * n)
+    monkeypatch.setattr(chaos, "ORBIT_BLOCK_BYTES", 45 * 8 * n)
     sizes = []
     step_lanes, generate = chaos._step_lanes, chaos.generate_sequence
     monkeypatch.setattr(chaos, "_step_lanes", lambda a, *args: sizes.append(len(a)) or step_lanes(a, *args))
@@ -430,35 +430,36 @@ def test_landscape_over_several_blocks_matches_direct_scoring(monkeypatch, numpy
 
 @pytest.mark.parametrize("numpy_sin_matches", [True, False])
 def test_landscape_holds_one_orbit_block_at_a_time(monkeypatch, numpy_sin_matches):
-    # 400 cells at n = 1,000 are 4 blocks of 100 lanes, 1.6 MB each.
+    # 800 cells at n = 1,000 are 4 blocks of 200 lanes' x values, 1.6 MB each.
     # chaos._orbits drops each block before it steps the next and yields one
-    # orbit at a time, so the landscape holds one block and one orbit; the
-    # lane-by-lane fallback makes no block.
+    # lane's xs at a time, whose ys the landscape sums back alone, so it holds
+    # one block and one orbit; the lane-by-lane fallback makes no block.
     if not numpy_sin_matches:
         monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
-    n, cells = 1000, 400
-    blocks = -(-cells // (ORBIT_BLOCK_BYTES // (16 * n)))
+    n, cells = 1000, 800
+    blocks = -(-cells // (ORBIT_BLOCK_BYTES // (8 * n)))
     assert blocks == 4
     plaintext = sample_text(n, random.Random(4))
     fitness_landscape(plaintext, (1.0, 4.0), (0.1, 4.0), 1, 1)
-    peak = _traced_peak(fitness_landscape, plaintext, (1.0, 4.0), (0.1, 4.0), 20, 20)
-    assert peak < (1.25 * (16 * n * cells // blocks) if numpy_sin_matches else 0.1 * ORBIT_BLOCK_BYTES)
+    peak = _traced_peak(fitness_landscape, plaintext, (1.0, 4.0), (0.1, 4.0), 20, 40)
+    assert peak < (1.25 * (8 * n * cells // blocks) if numpy_sin_matches else 0.1 * ORBIT_BLOCK_BYTES)
 
 
 @pytest.mark.parametrize("numpy_sin_matches", [True, False])
 def test_sweep_over_several_blocks_holds_its_output_once(monkeypatch, numpy_sin_matches):
     # 200 steps at m = 1,000 are 5 blocks of 40 lanes.  The sweep copies each
-    # orbit into its output as chaos._orbits yields it, so besides the output
-    # it holds one block and one orbit: no list of blocks, and no join.
+    # lane's xs into its output as chaos._orbits yields them, so besides the
+    # output it holds one block of xs and one lane's: no list of blocks, no
+    # join, and no ys.
     if not numpy_sin_matches:
         monkeypatch.setattr(chaos, "_numpy_sin_matches_libm", lambda: False)
     chaos._numpy_sin_matches_libm()  # probed before the peak is traced
     m, steps = 1000, 200
-    monkeypatch.setattr(chaos, "ORBIT_BLOCK_BYTES", 45 * 16 * m)
+    monkeypatch.setattr(chaos, "ORBIT_BLOCK_BYTES", 45 * 8 * m)
     blocks = -(-steps // 45)
     assert blocks == 5
     peak = _traced_peak(bifurcation_sweep, "a", 2.0, 1.0, 4.0, steps, m + 100, 100)
-    assert peak < 8 * steps * m + 1.25 * (16 * m * steps // blocks)
+    assert peak < 8 * steps * m + 1.25 * (8 * m * steps // blocks)
 
 
 def test_landscape_has_multiple_near_optimal_basins():

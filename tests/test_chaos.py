@@ -273,8 +273,9 @@ def test_orbit_leaving_the_finite_doubles_raises(params, state, transient):
 
 
 def _lanes(a, b, initial, n, transient):
-    """Every orbit chaos._orbits yields, stacked, and the number of blocks
-    it steps: one per chaos._step_lanes call, and one per lane that it
+    """Every lane's xs that chaos._orbits yields and its ys that
+    chaos._ys_of sums back from them, stacked, and the number of blocks
+    _orbits steps: one per chaos._step_lanes call, and one per lane that it
     steps alone with generate_sequence."""
     chaos._numpy_sin_matches_libm()  # probed before the count starts
     sizes = []
@@ -282,10 +283,31 @@ def _lanes(a, b, initial, n, transient):
         step_lanes, generate = chaos._step_lanes, chaos.generate_sequence
         patch.setattr(chaos, "_step_lanes", lambda a, *args: sizes.append(len(a)) or step_lanes(a, *args))
         patch.setattr(chaos, "generate_sequence", lambda *args: sizes.append(1) or generate(*args))
-        orbits = list(chaos._orbits(a, b, initial, n, transient))
-    xs = np.array([x for x, _ in orbits])
-    ys = np.array([y for _, y in orbits])
-    return xs, ys, len(sizes)
+        xs = np.array(list(chaos._orbits(a, b, initial, n, transient)))
+    a = np.broadcast_to(a, len(xs)).tolist()
+    b = np.broadcast_to(b, len(xs)).tolist()
+    ys = []
+    for k in range(len(xs)):
+        start = initial
+        if transient:  # the lane's point after its transient
+            tx, ty = generate_sequence(MapParams(a[k], b[k]), initial, transient)
+            start = MapState(tx[-1], ty[-1])
+        ys.append(chaos._ys_of(a[k], start, xs[k]))
+    return xs, np.array(ys), len(sizes)
+
+
+def test_lane_mod_one_is_python_float_mod():
+    # chaos._step_lanes writes x's mod 1 as v - floor(v): it must give the
+    # double that generate_sequence's v % 1.0 gives, and numpy's % too.
+    edges = [0.0, -0.0, 5e-324, -5e-324, -1e-20, 2.0**53, -(2.0**53), 1e300, -1e300]
+    for k in range(-10, 11):  # the integers, negative ones included, and 1 ulp either side
+        edges += [math.nextafter(k, -math.inf), float(k), math.nextafter(k, math.inf)]
+    draws = np.random.default_rng(32).uniform(-5.0, 10.0, 10**6)
+    v = np.concatenate([np.array(edges), draws])
+    lane = v - np.floor(v)
+    assert lane.tobytes() == np.array([x % 1.0 for x in v.tolist()]).tobytes()
+    assert lane.tobytes() == (v % 1.0).tobytes()
+    assert -1e-20 % 1.0 == 1.0  # rounds up to 1.0, which the >= 1.0 fix-up then sets to 0.0
 
 
 @pytest.mark.parametrize("transient", [0, 3])
@@ -297,7 +319,7 @@ def _lanes(a, b, initial, n, transient):
         (ORBIT_MIN_LANES, 40, 1),
         (63, 40, 1),  # both sides of the floor's old value, 64
         (64, 40, 1),
-        (300, 1000, 3),  # more lanes than ORBIT_BLOCK_BYTES holds at n = 1000
+        (300, 1000, 2),  # more lanes than ORBIT_BLOCK_BYTES holds at n = 1000 (262)
     ],
 )
 @pytest.mark.parametrize("numpy_sin_matches", [True, False])
