@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -122,30 +123,24 @@ def lyapunov_spectrum(
     with Gram-Schmidt re-orthonormalization every step; the exponents are the
     per-step averages of log stretch factors over the post-transient window.
     The frame is carried through the transient too, so it is already aligned
-    when measurement starts.  The orbit comes from generate_sequence and
-    cos(2*pi*y) from libm.  Raises NumericalError if the orbit leaves the
-    finite doubles, or if a stretch factor is 0, +inf or NaN at any step.
+    when measurement starts.  Each step's Jacobian is read from the orbit
+    generate_sequence stores (cos(2*pi*y) from libm), and nothing else
+    n-long is made.  Raises NumericalError if the orbit leaves the finite
+    doubles, or if a stretch factor is 0, +inf or NaN at any step.
     """
     _check_window(iterations, transient)
-    a = params.a
     xs, ys = generate_sequence(params, initial, iterations)
-    # The Jacobian of step i is taken at the point it starts from: the
-    # initial point, then the orbit.  Same operation order as the scalar
-    # TWO_PI * a * math.cos(TWO_PI * y) and -2.0 * a * x.
-    x = np.concatenate(([initial.x], np.asarray(xs)[:-1]))
-    y = np.concatenate(([initial.y], np.asarray(ys)[:-1]))
-    cos_2pi_y = np.fromiter(map(math.cos, (TWO_PI * y).tolist()), np.float64, iterations)
-    # An entry that overflows or turns NaN needs no warning: the frame
-    # checks below find the non-finite stretch it causes.
-    with np.errstate(all="ignore"):
-        j12s = (TWO_PI * a * cos_2pi_y).tolist()
-        j21s = (-2.0 * a * x).tolist()
-    hypot, log = math.hypot, math.log
+    j12_scale, j21_scale = TWO_PI * params.a, -2.0 * params.a
+    hypot, log, cos = math.hypot, math.log, math.cos
     v1x, v1y = 1.0, 0.0
     v2x, v2y = 0.0, 1.0
     s1 = s2 = 0.0
     try:
-        for i, j12, j21 in zip(range(iterations), j12s, j21s):
+        # Step i's Jacobian is taken at the point it starts from: the
+        # initial point, then the orbit.
+        for i, x, y in zip(range(iterations), chain((initial.x,), xs), chain((initial.y,), ys)):
+            j12 = j12_scale * cos(TWO_PI * y)
+            j21 = j21_scale * x
             u1x = v1x + j12 * v1y
             u1y = j21 * v1x + v1y
             u2x = v2x + j12 * v2y

@@ -400,6 +400,15 @@ def test_lyapunov_rejects_bad_windows():
         lyapunov_spectrum(MapParams(2.0, 2.0), MapState(0.1, 0.1), 100, 100)
 
 
+def test_lyapunov_holds_only_its_orbit():
+    # generate_sequence's two array("d") buffers take 16 B per point, and the
+    # frame loop reads each step's Jacobian from them: nothing else n-long.
+    n = 400_000
+    lyapunov_spectrum(MapParams(2.5, 1.5), DEFAULT_SWEEP_STATE, 1000, 100)
+    peak = _traced_peak(lyapunov_spectrum, MapParams(2.5, 1.5), DEFAULT_SWEEP_STATE, n, 500)
+    assert peak < 17 * n
+
+
 def test_landscape_shape_and_range():
     plaintext = sample_text(64, random.Random(1))
     table = fitness_landscape(plaintext, (1.0, 4.0), (0.1, 4.0), 2, 2)
