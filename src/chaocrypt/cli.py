@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage or input error, 3 internal numerical error.
+`main` alone turns a run into its code; a command returns nothing and
+raises when it fails.
 Ciphertext files are raw bytes, exactly as long as the plaintext; all secret
 material travels in the key file.  Every file a command writes is made by
 `keyfile.write_atomic`, mode 0600, and renamed into place: `encrypt`'s
@@ -24,7 +26,7 @@ from . import analysis, ga
 from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, MapParams, MapState, derive_initial_state
 from .cipher import KEY_FIELDS, KeyRecord, encrypt
 from .cipher import decrypt as cipher_decrypt
-from .errors import FormatError, InvalidInput, NumericalError
+from .errors import ChaocryptError, InvalidInput, NumericalError
 from .keyfile import read_key_file, write_atomic, write_key_file
 
 
@@ -97,7 +99,7 @@ def _add_ga_flags(parser) -> None:
         parser.add_argument(flag, dest=field, type=kind, default=None)
 
 
-def cmd_encrypt(args) -> int:
+def cmd_encrypt(args) -> None:
     if args.skip_ga:
         if args.a is None or args.b is None:
             raise InvalidInput("--skip-ga requires --a and --b")
@@ -139,17 +141,15 @@ def cmd_encrypt(args) -> int:
     if not args.skip_ga and args.rng_seed is None:
         print(f"warning: no --seed given: every such run spawns the same {config.population_size} (a, b) pairs "
               f"(seed {config.rng_seed}), and a message of 300 bytes or more usually keeps one of them", file=sys.stderr)
-    return 0
 
 
-def cmd_decrypt(args) -> int:
+def cmd_decrypt(args) -> None:
     key = read_key_file(args.key)
     plaintext = cipher_decrypt(_read_bytes(args.ciphertext), key)
     write_atomic(args.out, [plaintext])
-    return 0
 
 
-def cmd_analyze_bifurcation(args) -> int:
+def cmd_analyze_bifurcation(args) -> None:
     low, high = _parse_numbers(args.range, ":", float, 2)
     values, xs = analysis.bifurcation_sweep(
         args.param, args.fixed, low, high, args.steps, args.iters, args.transient, MapState(args.x0, args.y0)
@@ -168,10 +168,9 @@ def cmd_analyze_bifurcation(args) -> int:
     print(f"rows: {xs.size}")
     print(f"min bin coverage: {min(coverages):.2f}")
     print(f"mean bin coverage: {sum(coverages) / len(coverages):.4f}")
-    return 0
 
 
-def cmd_analyze_lyapunov(args) -> int:
+def cmd_analyze_lyapunov(args) -> None:
     result = analysis.lyapunov_spectrum(
         MapParams(args.a, args.b),
         MapState(args.x0, args.y0),
@@ -192,10 +191,9 @@ def cmd_analyze_lyapunov(args) -> int:
                 )
             ],
         )
-    return 0
 
 
-def cmd_analyze_landscape(args) -> int:
+def cmd_analyze_landscape(args) -> None:
     plaintext = _read_bytes(args.plaintext)
     a_range = _parse_numbers(args.a_range, ":", float, 2)
     b_range = _parse_numbers(args.b_range, ":", float, 2)
@@ -207,10 +205,9 @@ def cmd_analyze_landscape(args) -> int:
     print(f"rows: {table.shape[0]}")
     print(f"max fitness: {best:.4f}")
     print(f"cells within 0.5 of max: {near}")
-    return 0
 
 
-def cmd_analyze_lengths(args) -> int:
+def cmd_analyze_lengths(args) -> None:
     lengths = _parse_numbers(args.lengths, ",", int)
     rows = analysis.length_experiment(lengths, _ga_config(args), trials=args.trials)
     if args.trials == 1:
@@ -222,10 +219,9 @@ def cmd_analyze_lengths(args) -> int:
     _write_csv(args.out, header, [(line, values)])
     for length, best, mean, gens in analysis.summarize_lengths(rows):
         print(f"length {length}: max fitness {best:.4f}, mean fitness {mean:.4f}, mean generations {gens:.1f}")
-    return 0
 
 
-def cmd_analyze_sensitivity(args) -> int:
+def cmd_analyze_sensitivity(args) -> None:
     if args.key and (args.a is not None or args.b is not None):
         raise InvalidInput("--a and --b cannot be used with --key")
     if not args.key and (args.a is None or args.b is None):
@@ -244,10 +240,9 @@ def cmd_analyze_sensitivity(args) -> int:
             ("component", "epsilon", "fraction_changed"),
             [(f"{args.component},{_NUM},{_NUM}", (args.epsilon, fraction))],
         )
-    return 0
 
 
-def cmd_keyspace(args) -> int:
+def cmd_keyspace(args) -> None:
     if args.range:
         ranges = [_parse_numbers(r, ":", float, 3) for r in args.range]
     else:
@@ -255,7 +250,6 @@ def cmd_keyspace(args) -> int:
     size = analysis.keyspace_size(ranges)
     print(f"key space size: {size:.6g}")
     print(f"ratio to 2^128: {size / 2.0 ** 128:.6g}")
-    return 0
 
 
 @functools.cache
@@ -385,19 +379,20 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code  # argparse exits only through ArgumentParser.exit(status), an int
     try:
         _check_outputs(args)
-        return args.func(args)
-    except (InvalidInput, FormatError, OSError) as exc:
+        args.func(args)
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except (ChaocryptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: the request needs more memory than this machine has", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+    return 0
 
 
 if __name__ == "__main__":

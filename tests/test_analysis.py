@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,17 +27,7 @@ from chaocrypt import (
 )
 from chaocrypt.analysis import COVERAGE_BINS, DEFAULT_SWEEP_STATE, bin_coverage
 from chaocrypt.chaos import ORBIT_BLOCK_BYTES, ORBIT_MIN_LANES, TWO_PI
-
-
-def _traced_peak(fn, *args):
-    """The tracemalloc peak of fn(*args), in bytes."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+from conftest import traced
 
 
 def _three_uneven_blocks(monkeypatch, n, numpy_sin_matches):
@@ -405,7 +394,7 @@ def test_lyapunov_holds_only_its_orbit():
     # frame loop reads each step's Jacobian from them: nothing else n-long.
     n = 400_000
     lyapunov_spectrum(MapParams(2.5, 1.5), DEFAULT_SWEEP_STATE, 1000, 100)
-    peak = _traced_peak(lyapunov_spectrum, MapParams(2.5, 1.5), DEFAULT_SWEEP_STATE, n, 500)
+    _, peak = traced(lyapunov_spectrum, MapParams(2.5, 1.5), DEFAULT_SWEEP_STATE, n, 500)
     assert peak < 17 * n
 
 
@@ -450,7 +439,7 @@ def test_landscape_holds_one_orbit_block_at_a_time(monkeypatch, numpy_sin_matche
     assert blocks == 4
     plaintext = sample_text(n, random.Random(4))
     fitness_landscape(plaintext, (1.0, 4.0), (0.1, 4.0), 1, 1)
-    peak = _traced_peak(fitness_landscape, plaintext, (1.0, 4.0), (0.1, 4.0), 20, 40)
+    _, peak = traced(fitness_landscape, plaintext, (1.0, 4.0), (0.1, 4.0), 20, 40)
     assert peak < (1.25 * (8 * n * cells // blocks) if numpy_sin_matches else 0.1 * ORBIT_BLOCK_BYTES)
 
 
@@ -467,7 +456,7 @@ def test_sweep_over_several_blocks_holds_its_output_once(monkeypatch, numpy_sin_
     monkeypatch.setattr(chaos, "ORBIT_BLOCK_BYTES", 45 * 8 * m)
     blocks = -(-steps // 45)
     assert blocks == 5
-    peak = _traced_peak(bifurcation_sweep, "a", 2.0, 1.0, 4.0, steps, m + 100, 100)
+    _, peak = traced(bifurcation_sweep, "a", 2.0, 1.0, 4.0, steps, m + 100, 100)
     assert peak < 8 * steps * m + 1.25 * (8 * m * steps // blocks)
 
 

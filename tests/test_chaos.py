@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 import struct
-import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -19,6 +18,7 @@ from chaocrypt import (
     generate_sequence,
 )
 from chaocrypt.chaos import CHUNK, ORBIT_MIN_LANES
+from conftest import traced
 
 
 def test_derive_initial_state_uniform_bytes():
@@ -198,13 +198,7 @@ def test_transient_stepped_in_chunks_is_one_orbit(transient):
 
 
 def test_long_transient_is_not_held_in_memory():
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        generate_sequence(MapParams(2.5, 1.5), MapState(0.1, 0.1), 100, transient=250_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(generate_sequence, MapParams(2.5, 1.5), MapState(0.1, 0.1), 100, 250_000)
     assert peak <= 2 << 20
     assert peak <= 9 * CHUNK  # one chunk's scratch (8 B per point) and the result
 
@@ -226,13 +220,7 @@ def test_generate_sequence_rejects_bad_counts():
 
 def test_orbit_is_two_binary64_buffers_that_numpy_reads_in_place():
     n = 65_536
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        xs, ys = generate_sequence(MapParams(2.5, 1.5), MapState(1 / n, 1 - 1 / n), n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (xs, ys), peak = traced(generate_sequence, MapParams(2.5, 1.5), MapState(1 / n, 1 - 1 / n), n)
     assert peak <= 17 * n  # 8 bytes per point per buffer, plus a fixed overhead
     assert np.shares_memory(np.asarray(xs), xs) and np.shares_memory(np.asarray(ys), ys)
 

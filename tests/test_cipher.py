@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from chaocrypt import (
 from chaocrypt.chaos import CHUNK
 from chaocrypt.cipher import STABLE_SORT_MAX, _descending_order, keystream_from_orbit
 from chaocrypt.ga import fitness
+from conftest import descending_ranks, traced
 
 
 def test_rank_descending_basic():
@@ -40,13 +40,6 @@ def test_rank_descending_singleton():
 def test_rank_descending_rejects_empty():
     with pytest.raises(InvalidInput):
         rank_descending([])
-
-
-def _oracle_ranks(values):
-    ranks = [0] * len(values)
-    for r, i in enumerate(sorted(range(len(values)), key=lambda i: (-values[i], i))):
-        ranks[i] = r
-    return ranks
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -74,7 +67,7 @@ def test_rank_descending_rejects_non_finite_anywhere(bad, where):
     ],
 )
 def test_rank_descending_ranks_equal_values_by_index(values):
-    assert rank_descending(values).tolist() == _oracle_ranks(values)
+    assert rank_descending(values).tolist() == descending_ranks(values)
 
 
 def test_rank_descending_matches_sorted_oracle():
@@ -85,7 +78,7 @@ def test_rank_descending_matches_sorted_oracle():
         tied = [rng.choice(pool) for _ in range(n)]
         distinct = [rng.uniform(-1e6, 1e6) for _ in range(n)]
         for values in (tied, distinct):
-            assert rank_descending(values).tolist() == _oracle_ranks(values)
+            assert rank_descending(values).tolist() == descending_ranks(values)
 
 
 # One length below, at and above the longest array sorted stably in one pass.
@@ -110,7 +103,7 @@ def _boundary_cases(n):
 @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
 def test_rank_descending_at_the_stable_sort_boundary(n):
     for name, values in _boundary_cases(n).items():
-        assert rank_descending(values).tolist() == _oracle_ranks(values), name
+        assert rank_descending(values).tolist() == descending_ranks(values), name
 
 
 @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
@@ -411,10 +404,10 @@ def test_a_tie_across_a_chunk_edge_takes_the_stable_sort(n):
         values[tied] = ordered[edge - 1]
         order = _descending_order(values)
         assert order.flags.c_contiguous, edge
-        ranks = _oracle_ranks(values)
+        ranks = descending_ranks(values)
         assert rank_descending(values).tolist() == ranks
         ys = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        expect = compose_key(ranks, _oracle_ranks(ys))
+        expect = compose_key(ranks, descending_ranks(ys))
         assert keystream_from_orbit(values, ys).tobytes() == expect.tobytes()
 
 
@@ -448,13 +441,7 @@ def test_keystream_build_peaks_at_25_bytes_per_point():
     n = 1 << 18
     params, initial = MapParams(2.5, 1.5), MapState(1 / n, 1 - 1 / n)
     build_keystream(params, initial, 1000)
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        build_keystream(params, initial, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(build_keystream, params, initial, n)
     assert peak <= 26 * n
 
 
@@ -466,13 +453,7 @@ def test_a_tied_axis_peaks_no_higher_than_a_tie_free_one():
     xs, ys = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
     xs[1] = xs[0]
     keystream_from_orbit(xs[:1000], ys[:1000])
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        key = keystream_from_orbit(xs, ys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    key, peak = traced(keystream_from_orbit, xs, ys)
     assert peak <= 26 * n
     assert key.tobytes() == compose_key(rank_descending(xs), rank_descending(ys)).tobytes()
 
@@ -481,11 +462,5 @@ def test_decrypt_peaks_at_the_keystream_build():
     # The XOR's temporaries come after the build has freed both orders.
     n = 1 << 18
     ciphertext, key = encrypt(random.Random(11).randbytes(n), MapParams(2.5, 1.5))
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        decrypt(ciphertext, key)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(decrypt, ciphertext, key)
     assert peak <= 27 * n

@@ -1,13 +1,15 @@
 import hashlib
 import os
+import random
 import stat
+import string
 import subprocess
 import sys
 import warnings
 
 import pytest
 
-from chaocrypt import KeyRecord, write_key_file
+from chaocrypt import GaConfig, KeyRecord, decrypt, sample_text, spawn_population, write_key_file
 from chaocrypt.cli import main
 
 
@@ -365,6 +367,44 @@ def test_encrypt_without_seed_warns_once_and_writes_the_seed_0_bytes(tmp_path, c
     assert results["seed-0"][1] == results["skip-ga"][1] == ""
     assert results["default"][0] == results["seed-0"][0]
     assert results["default"][2:] == results["seed-0"][2:]
+
+
+_PRINTABLE = frozenset(string.printable.encode())
+
+
+def _recover_without_the_key(ciphertext, seeds):
+    """The plaintext of a GA ciphertext whose key is a pair spawned from one
+    of seeds, from the ciphertext alone: x0 = 1/n and y0 = 1 - x0 follow
+    from its length, and the output with the most printable bytes wins."""
+    x0 = 1 / len(ciphertext)
+    candidates = (
+        decrypt(ciphertext, KeyRecord(a, b, x0, 1 - x0))
+        for seed in seeds
+        for a, b in spawn_population(GaConfig(), random.Random(seed))
+    )
+    return max(candidates, key=lambda text: sum(byte in _PRINTABLE for byte in text))
+
+
+def _ga_encrypt_sample(tmp_path, n, *extra):
+    plain, cipher, keyfile = tmp_path / f"{n}.txt", tmp_path / f"{n}.enc", tmp_path / f"{n}.key"
+    plain.write_bytes(sample_text(n, random.Random(12000 + 7 * n)))
+    assert main(["encrypt", str(plain), "--out", str(cipher), "--key-out", str(keyfile), *extra]) == 0
+    return plain.read_bytes(), cipher.read_bytes()
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_a_default_seed_ciphertext_decrypts_without_its_key(tmp_path, capsys, n):
+    # From about 300 B the GA stops at generation 1 (every score is above
+    # the threshold), so the key is one of the 20 pairs every run without
+    # --seed spawns: 20 decrypts recover the text (README, "Known limitation").
+    plaintext, ciphertext = _ga_encrypt_sample(tmp_path, n)
+    assert _recover_without_the_key(ciphertext, [0]) == plaintext
+
+
+def test_a_small_seed_is_found_by_searching_the_seeds(tmp_path, capsys):
+    plaintext, ciphertext = _ga_encrypt_sample(tmp_path, 300, "--seed", "58")
+    assert "generations: 1\n" in capsys.readouterr().out
+    assert _recover_without_the_key(ciphertext, range(100)) == plaintext
 
 
 def test_sensitivity_with_a_key_for_another_length_exits_2(tmp_path, capsys):

@@ -15,13 +15,16 @@ from chaocrypt import (
     build_keystream,
     crossover,
     derive_initial_state,
+    encrypt,
     evolve,
     fitness,
     generate_sequence,
     mutate,
+    sample_text,
     select_top,
     spawn_population,
 )
+from conftest import descending_ranks, traced
 
 
 def test_fitness_disjoint_alphabets():
@@ -50,17 +53,10 @@ def test_fitness_accepts_values_beyond_bytes():
     assert fitness(b"\x41", [0x41 ^ 512]) == 100.0
 
 
-def _descending_ranks(values):
-    ranks = [0] * len(values)
-    for r, i in enumerate(sorted(range(len(values)), key=lambda i: (-values[i], i))):
-        ranks[i] = r
-    return ranks
-
-
 def _brute_force_score(plaintext, params):
     n = len(plaintext)
     xs, ys = generate_sequence(params, derive_initial_state(plaintext), n)
-    s_x, s_y = _descending_ranks(xs), _descending_ranks(ys)
+    s_x, s_y = descending_ranks(xs), descending_ranks(ys)
     values = [p ^ s_y[s_x[i]] for i, p in enumerate(plaintext)]
     width = max(max(plaintext), max(values)) + 1
     in_p = [False] * width
@@ -105,6 +101,34 @@ def test_score_matches_jaccard_at_table_width_boundaries(n):
         assert score == fitness(plaintext, values)
 
 
+def _scores_and_ciphertext_fitness(n):
+    """For each seed-0 spawn pair: its score, and the fitness of the
+    ciphertext that encrypt writes under it."""
+    plaintext = sample_text(n, random.Random(9000 + n))
+    evaluator = FitnessEvaluator(plaintext)
+    pairs = []
+    for a, b in spawn_population(GaConfig(), random.Random(0)):
+        ciphertext, _ = encrypt(plaintext, MapParams(a, b))
+        pairs.append((evaluator.score(MapParams(a, b)), fitness(plaintext, ciphertext)))
+    return pairs
+
+
+def test_score_is_the_ciphertext_fitness_below_256_bytes():
+    # Every keystream value is below 256, so byte ^ K is the ciphertext byte.
+    pairs = _scores_and_ciphertext_fitness(64)
+    assert len(pairs) == 20
+    assert all(score == ciphertext for score, ciphertext in pairs)
+
+
+def test_score_reaches_the_threshold_where_the_ciphertext_does_not_above_256_bytes():
+    # The score counts byte ^ K at full width; the ciphertext keeps its low
+    # 8 bits.  Values above 255 never meet the plaintext's alphabet, so the
+    # score nears 100 whatever the pair (README, "Known limitation").
+    threshold = GaConfig().fitness_threshold
+    pairs = _scores_and_ciphertext_fitness(1000)
+    assert any(score >= threshold > ciphertext for score, ciphertext in pairs)
+
+
 def test_score_holds_the_plaintext_once_and_peaks_at_the_keystream_build():
     # The evaluator keeps the plaintext as uint8 over the caller's bytes; a
     # score peaks in build_keystream (25 B per point), and its XOR values
@@ -132,12 +156,7 @@ def test_building_an_evaluator_makes_no_copy_of_the_plaintext():
     n = 1 << 18
     plaintext = random.Random(10).randbytes(n)
     FitnessEvaluator(plaintext[:1000])
-    tracemalloc.start()
-    try:
-        evaluator = FitnessEvaluator(plaintext)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    evaluator, peak = traced(FitnessEvaluator, plaintext)
     assert peak <= n
     assert evaluator._alphabet.tolist() == sorted(set(plaintext))
 

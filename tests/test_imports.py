@@ -1,6 +1,7 @@
 """Every name a chaocrypt module imports is used in that module, every
-private module-level name is used somewhere in the package, and each
-InvalidInput message is raised at one place in the package.
+private module-level name is used somewhere in the package, each
+InvalidInput message is raised at one place in the package, and no CLI
+command returns a value.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead.  `__init__.py` is skipped by the import check: its
@@ -104,3 +105,25 @@ def test_each_invalid_input_message_is_raised_at_one_site():
     assert sites
     repeated = [f"{message} at {', '.join(where)}" for message, where in sites.items() if len(where) > 1]
     assert not repeated, "raised at more than one site:\n" + "\n".join(repeated)
+
+
+def test_cli_commands_return_nothing():
+    # cli.main alone turns a run into its exit code: a command that fails
+    # raises, and one that returns has succeeded.
+    tree = _tree(PACKAGE / "cli.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [
+        keyword.value.id
+        for node in ast.walk(functions["_build_parser"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "set_defaults"
+        for keyword in node.keywords
+        if keyword.arg == "func"
+    ]
+    assert len(commands) == 8
+    returning = [
+        f"cli:{node.lineno}:{name}"
+        for name in commands
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Return) and node.value is not None
+    ]
+    assert not returning, "a command returns a value:\n" + "\n".join(returning)
