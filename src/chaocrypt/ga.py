@@ -143,18 +143,14 @@ def crossover(parent_1, parent_2) -> tuple[tuple[float, float], tuple[float, flo
     return (parent_1[0], parent_2[1]), (parent_2[0], parent_1[1])
 
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return lo if v < lo else hi if v > hi else v
-
-
 def mutate(pair, config: GaConfig, rng: random.Random) -> tuple[float, float]:
     """Nudge each gene (independently, with mutation_probability) by a uniform
     step in [-mutation_step, +mutation_step], clamped to the legal range."""
     a, b = pair
     if rng.random() < config.mutation_probability:
-        a = _clamp(a + rng.uniform(-config.mutation_step, config.mutation_step), A_MIN, A_MAX)
+        a = min(max(a + rng.uniform(-config.mutation_step, config.mutation_step), A_MIN), A_MAX)
     if rng.random() < config.mutation_probability:
-        b = _clamp(b + rng.uniform(-config.mutation_step, config.mutation_step), B_MIN, B_MAX)
+        b = min(max(b + rng.uniform(-config.mutation_step, config.mutation_step), B_MIN), B_MAX)
     return a, b
 
 
@@ -192,10 +188,10 @@ def evolve(plaintext, config: GaConfig) -> EvolutionReport:
 
         # The survivors, then whole crossover pairs of random survivors; an
         # odd last slot keeps the first child of its pair.
-        population = select_top(population, scores, config.elite_fraction)
-        k = len(population)
+        survivors = select_top(population, scores, config.elite_fraction)
+        population = list(survivors)
         while len(population) < config.population_size:
-            population.extend(crossover(population[rng.randrange(k)], population[rng.randrange(k)]))
+            population.extend(crossover(rng.choice(survivors), rng.choice(survivors)))
         population = [mutate(pair, config, rng) for pair in population[: config.population_size]]
 
     best = max(scored, key=scored.__getitem__)

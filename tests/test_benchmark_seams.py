@@ -3,7 +3,8 @@ exist.
 
 perfbench/spans.py wraps the functions it lists in LAYERS and reads some of
 their arguments by name; perfbench/selftest.py patches `cli.encrypt` and
-`cli.cipher_decrypt` and checks `ga.build_keystream`; perfbench/run.py reads
+`cli.cipher_decrypt`, which a GA encrypt and a decrypt through `cli.main`
+must each call once, and checks `ga.build_keystream`; perfbench/run.py reads
 the Lyapunov exponents by attribute, sweeps from `DEFAULT_SWEEP_STATE`,
 joins an orbit's two axes with `+` and catches a bad key file's error as
 `chaocrypt.ChaocryptError`.  A change to src/ that drops one of them breaks
@@ -57,6 +58,35 @@ def test_names_the_benchmark_patches_are_the_library_functions():
     assert cli.encrypt is cipher.encrypt
     assert cli.cipher_decrypt is cipher.decrypt
     assert ga.build_keystream is cipher.build_keystream
+
+
+def _spied(monkeypatch, name):
+    """Patch cli.<name> with a wrapper that records each result it returns."""
+    real, results = getattr(cli, name), []
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return results
+
+
+def test_the_cli_encrypts_and_decrypts_through_the_patched_names(tmp_path, monkeypatch):
+    # selftest.py corrupts what these two names return and expects the
+    # written files to carry it: each command must call its name once and
+    # write what it got.
+    plain, ciphertext, key, out = (tmp_path / name for name in ("p", "c", "k", "d"))
+    plain.write_bytes(b"a short message for the benchmark's patch points")
+    encrypted, decrypted = _spied(monkeypatch, "encrypt"), _spied(monkeypatch, "cipher_decrypt")
+    argv = ["encrypt", str(plain), "--out", str(ciphertext), "--key-out", str(key),
+            "--seed", "1", "--max-generations", "2"]
+    assert cli.main(argv) == 0
+    assert len(encrypted) == 1 and not decrypted
+    assert ciphertext.read_bytes() == encrypted[0][0]
+    assert cli.main(["decrypt", str(ciphertext), "--key", str(key), "--out", str(out)]) == 0
+    assert len(encrypted) == 1 and len(decrypted) == 1
+    assert out.read_bytes() == decrypted[0] == plain.read_bytes()
 
 
 def test_arguments_the_tracer_reads_by_name_exist():

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from chaocrypt import GaConfig, KeyRecord, decrypt, sample_text, spawn_population, write_key_file
+from chaocrypt import GaConfig, KeyRecord, decrypt, read_key_file, sample_text, spawn_population, write_key_file
 from chaocrypt.cli import main
 
 
@@ -405,6 +405,53 @@ def test_a_small_seed_is_found_by_searching_the_seeds(tmp_path, capsys):
     plaintext, ciphertext = _ga_encrypt_sample(tmp_path, 300, "--seed", "58")
     assert "generations: 1\n" in capsys.readouterr().out
     assert _recover_without_the_key(ciphertext, range(100)) == plaintext
+
+
+@pytest.mark.parametrize("n", [64, 1000])
+def test_one_known_plaintext_decrypts_every_message_of_its_length_under_its_key(tmp_path, capsys, n):
+    # x0 and y0 follow from the length, so one (a, b) gives every n-byte
+    # message the same key file and keystream: c2 ^ c1 ^ p1 is p2, no key
+    # file read (README, "Known limitation").
+    texts = [sample_text(n, random.Random(15000 + n + t)) for t in range(2)]
+    assert texts[0] != texts[1]
+    files = []
+    for t, text in enumerate(texts):
+        plain, cipher, keyfile = tmp_path / f"{t}.txt", tmp_path / f"{t}.enc", tmp_path / f"{t}.key"
+        plain.write_bytes(text)
+        argv = ["encrypt", str(plain), "--out", str(cipher), "--key-out", str(keyfile), "--skip-ga", "--a", "2.5",
+                "--b", "1.5"]
+        assert main(argv) == 0
+        files.append((cipher.read_bytes(), keyfile.read_bytes()))
+    (c1, key_1), (c2, key_2) = files
+    assert key_1 == key_2
+    assert bytes(x ^ y ^ p for x, y, p in zip(c2, c1, texts[0])) == texts[1]
+
+
+def _one_byte_edit(n, t):
+    """README's diffusion table's case t at n bytes: a sample text, one byte
+    of it replaced by another letter, and the --seed both are encrypted with."""
+    rng = random.Random(7000 + 31 * n + t)
+    text = sample_text(n, rng)
+    position = rng.randrange(n)
+    letter = rng.choice([c for c in string.ascii_lowercase.encode() if c != text[position]])
+    seed = rng.randrange(2**31)
+    return text, text[:position] + bytes([letter]) + text[position + 1:], position, seed
+
+
+def test_a_one_byte_edit_that_keeps_the_key_changes_one_ciphertext_byte(tmp_path, capsys):
+    # The keystream depends only on (a, b) and n; at 300 B the GA keeps the
+    # pair it picked for the original text (README, "Known limitation").
+    text, edited, position, seed = _one_byte_edit(300, 0)
+    results = []
+    for tag, data in (("original", text), ("edited", edited)):
+        plain, cipher, keyfile = tmp_path / tag, tmp_path / f"{tag}.enc", tmp_path / f"{tag}.key"
+        plain.write_bytes(data)
+        assert main(["encrypt", str(plain), "--out", str(cipher), "--key-out", str(keyfile), "--seed", str(seed)]) == 0
+        key = read_key_file(keyfile)
+        results.append(((key.a, key.b), cipher.read_bytes()))
+    (pair_1, c1), (pair_2, c2) = results
+    assert pair_1 == pair_2
+    assert [i for i in range(300) if c1[i] != c2[i]] == [position]
 
 
 def test_sensitivity_with_a_key_for_another_length_exits_2(tmp_path, capsys):

@@ -8,6 +8,10 @@ from dataclasses import replace
 import pytest
 
 from chaocrypt import (
+    A_MAX,
+    A_MIN,
+    B_MAX,
+    B_MIN,
     FitnessEvaluator,
     GaConfig,
     InvalidInput,
@@ -251,6 +255,16 @@ def test_mutate_clamps_at_lower_bound():
     for _ in range(200):
         a, _ = mutate((1.0, 2.0), config, rng)
         assert 1.0 <= a <= 1.05
+
+
+def test_mutate_clamps_each_gene_to_each_bound_exactly():
+    # A step wider than either range pushes each gene past both of its ends.
+    config = GaConfig(mutation_probability=1.0, mutation_step=10.0)
+    rng = random.Random(8)
+    mutants = [mutate((2.5, 2.0), config, rng) for _ in range(200)]
+    a_values, b_values = {a for a, _ in mutants}, {b for _, b in mutants}
+    assert all(A_MIN <= a <= A_MAX and B_MIN <= b <= B_MAX for a, b in mutants)
+    assert {A_MIN, A_MAX} <= a_values and {B_MIN, B_MAX} <= b_values
 
 
 def test_mutate_rate_matches_probability():
