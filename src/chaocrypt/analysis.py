@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass, replace
 from itertools import chain
 
-import numpy as np
-
 from . import chaos
 from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, TWO_PI, MapParams, MapState, generate_sequence
 from .cipher import KEY_FIELDS, KeyRecord, decrypt, keystream_from_orbit
@@ -67,7 +65,7 @@ def bifurcation_sweep(
     iterations: int,
     transient: int,
     initial_state: MapState = DEFAULT_SWEEP_STATE,
-) -> tuple[np.ndarray, np.ndarray]:
+):
     """Asymptotic x-values as swept_parameter ("a" or "b") steps from
     range_low to range_high and the other parameter holds fixed_value.
 
@@ -75,6 +73,8 @@ def bifurcation_sweep(
     (steps, iterations - transient), row i the post-transient x-values at
     values[i].
     """
+    import numpy as np
+
     if swept_parameter not in ("a", "b"):
         raise InvalidInput("swept_parameter must be 'a' or 'b'")
     if not math.isfinite(fixed_value):
@@ -94,9 +94,11 @@ def bifurcation_sweep(
     return values, xs
 
 
-def bin_coverage(xs) -> np.ndarray:
+def bin_coverage(xs):
     """Fraction of the COVERAGE_BINS equal-width bins of [0, 1) hit by each
     row of the 2-D xs (a bifurcation sweep's rows)."""
+    import numpy as np
+
     arr = np.asarray(xs, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidInput("values must be a non-empty 2-D array: one row per swept value")
@@ -167,13 +169,15 @@ def lyapunov_spectrum(
     return LyapunovResult(l1, l2)
 
 
-def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int) -> np.ndarray:
+def fitness_landscape(plaintext, a_range, b_range, grid_a: int, grid_b: int):
     """Fitness of encrypting `plaintext` at every point of an (a, b) grid.
 
     Returns grid_a * grid_b rows of (a, b, fitness), a-major order.  Each
     cell's xs come from chaos._orbits and its ys from chaos._ys_of, and the
     orbit is ranked and scored exactly as FitnessEvaluator.score would.
     """
+    import numpy as np
+
     a_low, a_high = a_range
     b_low, b_high = b_range
     _check_range(a_low, a_high)
@@ -261,6 +265,8 @@ def sensitivity_probe(plaintext, key: KeyRecord, component: str, epsilon: float)
     Encrypts with `key` as-is, adds epsilon to the chosen component, decrypts
     with the perturbed key, and compares against the original plaintext.
     """
+    import numpy as np
+
     if component not in KEY_FIELDS:
         raise InvalidInput(f"component must be one of {KEY_FIELDS}")
     if not (epsilon >= 0.0):

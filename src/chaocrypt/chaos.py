@@ -27,8 +27,6 @@ import math
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInput, NumericalError
 
 TWO_PI = 2.0 * math.pi
@@ -153,6 +151,8 @@ def _numpy_sin_matches_libm() -> bool:
     """Whether np.sin gives math.sin's bits on a fixed probe: the sin
     arguments of a fixed orbit and +-10**k for k = -8..8 in 1/8 steps.
     Checked on first use by _orbits, the one numpy trig caller."""
+    import numpy as np
+
     _, ys = generate_sequence(MapParams(3.7, 2.9), MapState(0.123, 0.456), 2048)
     scales = np.logspace(-8.0, 8.0, 129)
     probe = np.concatenate([TWO_PI * np.asarray(ys), scales, -scales])
@@ -175,6 +175,8 @@ def _orbits(a, b, initial: MapState, n: int, transient: int = 0):
     each lane yielding generate_sequence's own xs.  Raises NumericalError,
     as generate_sequence does, if any lane leaves the finite doubles.
     """
+    import numpy as np
+
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     lanes = a.size
     capacity = max(1, ORBIT_BLOCK_BYTES // (8 * n))
@@ -195,6 +197,8 @@ def _step_lanes(a, b, initial, n, transient):
     """generate_sequence's loop over the lanes of a and b at once.  Returns
     an (n, lanes) buffer of xs: row i is step i, column k lane k.  y is
     stepped but not stored."""
+    import numpy as np
+
     xs = np.empty((n, a.size))
     x, y = np.full(a.size, initial.x), np.full(a.size, initial.y)
     # A lane that leaves the finite doubles turns NaN or infinite and stays
@@ -220,6 +224,8 @@ def _ys_of(a, start: MapState, xs):
     generate_sequence computes it, summed from start.y in step order
     (np.add.accumulate adds one value at a time, unlike np.sum), so they
     equal generate_sequence's ys bit for bit."""
+    import numpy as np
+
     d = np.empty(len(xs) + 1)
     d[0], d[1] = start.y, start.x
     d[2:] = xs[:-1]

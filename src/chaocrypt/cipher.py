@@ -10,6 +10,10 @@ the low 8 bits of the XOR while the optimizer scores the full-width values
 Ranks tie-break by index and do not depend on the numpy build: arrays of up
 to STABLE_SORT_MAX values are sorted stably, and a longer one goes through
 numpy's unstable sort only when it has no ties (see _descending_order).
+A message of at most PURE_PYTHON_MAX bytes is keyed, XORed and scored (see
+ga.FitnessEvaluator) in pure Python, to the same values, and numpy is
+imported only by the functions that use it: a CLI run on a short message
+never loads it.
 
 KeyRecord, the secret key (a, b, x0, y0), checks its fields when it is
 constructed; decrypt checks only that the key fits the data's length.
@@ -19,9 +23,8 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .chaos import (
     A_MAX,
@@ -70,8 +73,16 @@ KEY_FIELDS = tuple(f.name for f in fields(KeyRecord))
 # (numpy 2.4, 2-vCPU x86-64 Xeon, over repeated runs): they cross in 160-256.
 STABLE_SORT_MAX = 160
 
+# The longest message build_keystream, xor_apply and ga.FitnessEvaluator
+# handle in pure Python.  Per in-process score, pure Python takes 0.8 of
+# numpy's CPU time at 16 B, 0.96 at 24, 1.0 at 29, 1.06 at 32, 1.14 at 40 and
+# 1.27 at 64 (numpy 2.4, Python 3.11, 2-vCPU x86-64 Xeon): this is the
+# largest power of two within about 10 % of numpy.  A process that stays at
+# or below it never imports numpy, about 0.13 s of CPU: thousands of scores.
+PURE_PYTHON_MAX = 32
 
-def _descending_order(values) -> np.ndarray:
+
+def _descending_order(values):
     """Indices that sort `values` in descending order, equal values in index
     order; raises InvalidInput unless `values` is a non-empty 1-D sequence of
     finite floats.
@@ -84,6 +95,8 @@ def _descending_order(values) -> np.ndarray:
     checked CHUNK at a time, each chunk overlapping the next by one value so
     that a tie across a chunk edge is seen, and no sorted copy is made.
     """
+    import numpy as np
+
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInput("values must be a non-empty 1-D sequence")
@@ -103,13 +116,15 @@ def _descending_order(values) -> np.ndarray:
     return order
 
 
-def _compose_orders(order_x: np.ndarray, order_y: np.ndarray) -> np.ndarray:
+def _compose_orders(order_x, order_y):
     """The key array K = S_y[S_x] of the ranks whose descending orders these
     are, made without either rank array.
 
     S_y[order_y[r]] = r and K[order_x[j]] = S_y[j], so K[order_x[order_y[r]]]
     = r: each chunk of ranks r is scattered through the two orders.
     """
+    import numpy as np
+
     key = np.empty(order_x.size, dtype=np.int64)
     for lo in range(0, key.size, CHUNK):
         at = order_x[order_y[lo : lo + CHUNK]]
@@ -117,19 +132,23 @@ def _compose_orders(order_x: np.ndarray, order_y: np.ndarray) -> np.ndarray:
     return key
 
 
-def rank_descending(values) -> np.ndarray:
+def rank_descending(values):
     """Position of each element in the descending sort of `values`.
 
     Ties break stably: among equal values the lower original index gets the
-    lower rank.  The result is a permutation of 0..n-1.
+    lower rank.  The result is an int64 array, a permutation of 0..n-1.
     """
+    import numpy as np
+
     order = _descending_order(values)
     ranks = np.empty(order.size, dtype=np.int64)
     ranks[order] = np.arange(order.size, dtype=np.int64)
     return ranks
 
 
-def _check_permutation(arr: np.ndarray, name: str) -> None:
+def _check_permutation(arr, name: str) -> None:
+    import numpy as np
+
     n = arr.size
     if n == 0:
         raise InvalidInput(f"{name} must be non-empty")
@@ -137,8 +156,10 @@ def _check_permutation(arr: np.ndarray, name: str) -> None:
         raise InvalidInput(f"{name} is not a permutation of 0..{n - 1}")
 
 
-def compose_key(s_x, s_y) -> np.ndarray:
-    """Key array K[i] = s_y[s_x[i]]; both inputs must be permutations."""
+def compose_key(s_x, s_y):
+    """Key array K[i] = s_y[s_x[i]], int64; both inputs must be permutations."""
+    import numpy as np
+
     sx = np.asarray(s_x, dtype=np.int64)
     sy = np.asarray(s_y, dtype=np.int64)
     if sx.ndim != 1 or sy.ndim != 1 or sx.size != sy.size:
@@ -151,15 +172,23 @@ def compose_key(s_x, s_y) -> np.ndarray:
 def xor_apply(data, key) -> bytes:
     """XOR each byte with the low 8 bits of the matching key value."""
     buf = bytes(data)
-    k = np.asarray(key, dtype=np.int64)
-    if k.ndim != 1 or k.size != len(buf):
+    small = len(buf) <= PURE_PYTHON_MAX
+    if not small:
+        import numpy as np
+
+        key = np.asarray(key, dtype=np.int64)
+    if getattr(key, "ndim", 1) != 1 or len(key) != len(buf):
         raise InvalidInput("data and key lengths differ")
+    if small:
+        return bytes([b ^ (k & 0xFF) for b, k in zip(buf, key)])
     d = np.frombuffer(buf, dtype=np.uint8)
-    return (d ^ k.astype(np.uint8)).tobytes()  # the cast keeps the low 8 bits
+    return (d ^ key.astype(np.uint8)).tobytes()  # the cast keeps the low 8 bits
 
 
-def keystream_from_orbit(xs, ys) -> np.ndarray:
-    """The key array K = S_y[S_x] of one orbit's x and y sequences."""
+def keystream_from_orbit(xs, ys):
+    """The int64 key array K = S_y[S_x] of one orbit's x and y sequences."""
+    import numpy as np
+
     order_y = _descending_order(ys)
     x = np.asarray(xs, dtype=np.float64)
     if x.shape != order_y.shape:
@@ -167,11 +196,26 @@ def keystream_from_orbit(xs, ys) -> np.ndarray:
     return _compose_orders(_descending_order(x), order_y)
 
 
-def build_keystream(params: MapParams, initial: MapState, n: int) -> np.ndarray:
-    """Generate the orbit and return its n-value key array K."""
+def build_keystream(params: MapParams, initial: MapState, n: int):
+    """Generate the orbit and return its n-value key array K: an array("q")
+    up to PURE_PYTHON_MAX values, else an int64 ndarray, with equal values.
+
+    The short path ranks each axis with a reverse sorted(), which keeps
+    equal values (-0.0 == 0.0 counts) in index order as the stable argsort
+    of _descending_order does, and scatters K[order_x[order_y[r]]] = r as
+    _compose_orders does.
+    """
+    xs, ys = generate_sequence(params, initial, n)
+    if n <= PURE_PYTHON_MAX:
+        xs, ys = xs.tolist(), ys.tolist()  # a list read makes no new float, an array read does
+        order_x = sorted(range(n), key=xs.__getitem__, reverse=True)
+        order_y = sorted(range(n), key=ys.__getitem__, reverse=True)
+        key = array("q", bytes(8 * n))
+        for r, j in enumerate(order_y):
+            key[order_x[j]] = r
+        return key
     # Each axis is freed once it is sorted, and K is allocated after both
     # sorts, so a build holds at most three n-long arrays of 8 B per value.
-    xs, ys = generate_sequence(params, initial, n)
     order_y = _descending_order(ys)
     del ys
     order_x = _descending_order(xs)

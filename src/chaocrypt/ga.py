@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from operator import xor
 
 from .chaos import A_MAX, A_MIN, B_MAX, B_MIN, MapParams, derive_initial_state
-from .cipher import build_keystream
+from .cipher import PURE_PYTHON_MAX, build_keystream
 from .errors import InvalidInput
 
 TERMINATED_BY_QUORUM = "quorum"
@@ -91,15 +90,22 @@ class FitnessEvaluator:
     The intersection is that table gathered at the plaintext's distinct byte
     values (at most 256); it and the union are the integers `fitness`
     counts, in its float expression.  `fitness` is the reference definition
-    the table counting is tested against.
+    the table counting is tested against.  A plaintext of at most
+    cipher.PURE_PYTHON_MAX bytes is kept as bytes and its alphabet as a set,
+    and the XOR values are counted in a set, as `fitness` counts them.
     """
 
     def __init__(self, plaintext):
         data = bytes(plaintext)
         self.initial = derive_initial_state(data)
+        self.n = len(data)
+        if self.n <= PURE_PYTHON_MAX:
+            self._bytes, self._alphabet = data, set(data)
+            return
+        import numpy as np
+
         # uint8 ^ int64 key values is int64: the table index needs no wider copy.
         self._bytes = np.frombuffer(data, dtype=np.uint8)
-        self.n = len(data)
         self._width = 1 << max(8, (self.n - 1).bit_length())
         # Not np.unique (its first call costs 18 ms and 1.7 MB of RSS), nor
         # np.bincount (it counts through an int64 copy of the bytes).
@@ -110,12 +116,19 @@ class FitnessEvaluator:
     def score(self, params: MapParams) -> float:
         return self.score_key(build_keystream(params, self.initial, self.n))
 
-    def score_key(self, key: np.ndarray) -> float:
+    def score_key(self, key) -> float:
         """Fitness of the n-value key array K of a keystream (K[i] < n)."""
-        seen = np.zeros(self._width, dtype=bool)
-        seen[self._bytes ^ key] = True
-        inter = int(np.count_nonzero(seen[self._alphabet]))
-        union = self._alphabet.size + int(np.count_nonzero(seen)) - inter
+        if self.n <= PURE_PYTHON_MAX:
+            values = set(map(xor, self._bytes, key))
+            inter = len(self._alphabet & values)
+            union = len(self._alphabet) + len(values) - inter
+        else:
+            import numpy as np
+
+            seen = np.zeros(self._width, dtype=bool)
+            seen[self._bytes ^ key] = True
+            inter = int(np.count_nonzero(seen[self._alphabet]))
+            union = self._alphabet.size + int(np.count_nonzero(seen)) - inter
         return 100.0 - 100.0 * inter / union
 
 

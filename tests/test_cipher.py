@@ -1,18 +1,22 @@
 import dataclasses
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
 
 from chaocrypt import (
+    FitnessEvaluator,
     InvalidInput,
     KeyRecord,
     MapParams,
     MapState,
     build_keystream,
+    cipher,
     compose_key,
     decrypt,
+    derive_initial_state,
     encrypt,
     generate_sequence,
     rank_descending,
@@ -20,7 +24,7 @@ from chaocrypt import (
     xor_apply,
 )
 from chaocrypt.chaos import CHUNK
-from chaocrypt.cipher import STABLE_SORT_MAX, _descending_order, keystream_from_orbit
+from chaocrypt.cipher import PURE_PYTHON_MAX, STABLE_SORT_MAX, _descending_order, keystream_from_orbit
 from chaocrypt.ga import fitness
 from conftest import descending_ranks, traced
 
@@ -164,8 +168,23 @@ def test_xor_apply_examples():
 
 
 def test_xor_apply_rejects_length_mismatch():
-    with pytest.raises(InvalidInput):
-        xor_apply(b"\x41\x42", [1])
+    for n in (2, PURE_PYTHON_MAX, PURE_PYTHON_MAX + 1):
+        data = bytes(range(1, n + 1))
+        for key in ([1] * (n - 1), [1] * (n + 1), np.ones((n, 1), dtype=np.int64), np.int64(1)):
+            with pytest.raises(InvalidInput, match="^data and key lengths differ$"):
+                xor_apply(data, key)
+
+
+@pytest.mark.parametrize("n", range(1, PURE_PYTHON_MAX + 2))
+def test_xor_apply_keeps_the_low_8_bits_of_any_int64_key(n):
+    # Up to PURE_PYTHON_MAX bytes the XOR is taken in Python: its k & 0xFF
+    # must be numpy's uint8 cast, for negative keys and keys past 255 too.
+    rng = random.Random(n)
+    data = rng.randbytes(n)
+    key = [rng.choice((-1, 1)) * rng.randrange(1 << rng.randrange(1, 63)) for _ in range(n)]
+    expect = (np.frombuffer(data, dtype=np.uint8) ^ np.asarray(key, dtype=np.int64).astype(np.uint8)).tobytes()
+    for k in (key, np.asarray(key, dtype=np.int64), array("q", key)):
+        assert xor_apply(data, k) == expect
 
 
 def test_xor_apply_is_involution():
@@ -326,13 +345,14 @@ def test_keystream_permutation_invariants():
         xs, ys = generate_sequence(params, initial, n)
         s_x, s_y = rank_descending(xs), rank_descending(ys)
         key = build_keystream(params, initial, n)
-        assert key.dtype == np.int64
+        assert np.asarray(key).dtype == np.int64
         expect = list(range(n))
         assert sorted(s_x.tolist()) == expect
         assert sorted(s_y.tolist()) == expect
         assert sorted(key.tolist()) == expect
         assert key.tolist() == [s_y[i] for i in s_x]
         assert key.tolist() == compose_key(s_x, s_y).tolist()
+        assert key.tobytes() == compose_key(s_x, s_y).tobytes()
 
 
 # One length, the stable sort's boundary, a landscape row, the chunk edges of
@@ -385,8 +405,40 @@ def test_build_keystream_is_the_composed_ranks_bit_for_bit(n):
     xs, ys = generate_sequence(params, initial, n)
     key = build_keystream(params, initial, n)
     expect = compose_key(rank_descending(xs), rank_descending(ys))
-    assert key.dtype == expect.dtype == np.int64
+    assert np.asarray(key).dtype == expect.dtype == np.int64
     assert key.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, PURE_PYTHON_MAX + 2))
+def test_short_messages_key_encrypt_and_score_as_numpy_does(n, monkeypatch):
+    # Up to PURE_PYTHON_MAX bytes, build_keystream ranks in Python, and
+    # xor_apply and FitnessEvaluator count in Python: each must give the
+    # numpy ranks' key, ciphertext and score.  Random (a, b) orbits, then
+    # tied axes fed through a stand-in orbit: repeats, signed zeros, ties at
+    # both ends.
+    rng = random.Random(n)
+    plaintext = sample_text(n, rng)
+    initial = derive_initial_state(plaintext)
+    data = np.frombuffer(plaintext, dtype=np.uint8)
+    evaluator = FitnessEvaluator(plaintext)
+    cases = [MapParams(rng.uniform(1.0, 4.0), rng.uniform(0.1, 4.0)) for _ in range(20)]
+    axes = [array("d", axis.tolist()) for axis in _keystream_axes(n)]
+    cases += [(axes[i], axes[(i + 1) % len(axes)]) for i in range(len(axes))]
+    for case in cases:
+        if isinstance(case, MapParams):
+            params = case
+            xs, ys = generate_sequence(params, initial, n)
+        else:
+            params, (xs, ys) = MapParams(2.5, 1.5), case
+            monkeypatch.setattr(cipher, "generate_sequence", lambda *_, orbit=case: orbit)
+        expect = compose_key(rank_descending(xs), rank_descending(ys))
+        key = build_keystream(params, initial, n)
+        assert np.asarray(key).dtype == np.int64
+        assert key.tolist() == expect.tolist()
+        assert key.tobytes() == expect.tobytes()
+        assert encrypt(plaintext, params)[0] == (data ^ expect.astype(np.uint8)).tobytes()
+        score = fitness(plaintext, data ^ expect)
+        assert evaluator.score(params) == evaluator.score_key(expect) == score
 
 
 @pytest.mark.parametrize("n", (CHUNK + 1, 2 * CHUNK + 1))

@@ -1077,6 +1077,38 @@ def test_console_entry_point():
     assert "1.17e+63" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encrypt", "p", "--out", "c", "--key-out", "k", "--skip-ga", "--a", "2.5", "--b", "1.5"],
+        ["decrypt", "c", "--key", "k", "--out", "r"],
+        ["keyspace"],
+        ["analyze", "lyapunov", "--a", "2.5", "--b", "1.5"],
+    ],
+    ids=lambda argv: argv[1] if argv[0] == "analyze" else argv[0],
+)
+def test_a_short_message_run_never_imports_numpy(tmp_path, argv):
+    # A 29-byte message is within cipher.PURE_PYTHON_MAX: it is keyed, XORed
+    # and scored in pure Python, as keyspace and lyapunov always are.
+    plaintext = b"setup probe: a short message\n"
+    (tmp_path / "p").write_bytes(plaintext)
+    if argv[0] == "decrypt":
+        assert main(["encrypt", str(tmp_path / "p"), "--out", str(tmp_path / "c"), "--key-out", str(tmp_path / "k"),
+                     "--skip-ga", "--a", "2.5", "--b", "1.5"]) == 0
+    script = "import sys\nfrom chaocrypt.cli import main\ncode = main(sys.argv[1:])\nprint('numpy' in sys.modules)\nsys.exit(code)\n"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script, *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    if argv[0] == "decrypt":
+        assert (tmp_path / "r").read_bytes() == plaintext
+
+
 # SHA-256 of (CSV bytes, stdout) for every command that writes a CSV.  The
 # bifurcation sweeps run once with >= ORBIT_MIN_LANES steps (numpy lanes)
 # and once with fewer (generate_sequence lane by lane).

@@ -323,6 +323,16 @@ def test_evolve_terminates_by_quorum_when_threshold_is_trivial():
     assert report.generations_run == 1
 
 
+def test_evolve_quorum_needs_strictly_more_than_the_fraction():
+    # Generation 2 of this run has exactly half its 20 scores at the
+    # threshold: not a quorum, so the run goes on to generation 3.
+    config = GaConfig(rng_seed=0, max_generations=60)
+    report = evolve(sample_text(250, random.Random(20000)), config)
+    hits = [sum(f >= config.fitness_threshold for _, _, f in population) for population in report.history]
+    assert hits == [9, 10, 17]
+    assert report.terminated_by == "quorum"
+
+
 def test_evolve_respects_generation_cap():
     config = GaConfig(rng_seed=14, fitness_threshold=100.1, max_generations=6)
     report = evolve(b"no quorum can ever fire here", config)
